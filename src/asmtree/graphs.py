@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 
 from .errors import InputError
+from .rationals import is_int
 
 FAMILY_NAMES = (
     "path",
@@ -52,7 +53,7 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges=()):
-        if not isinstance(n, int) or n < 0:
+        if not is_int(n) or n < 0:
             raise InputError(f"vertex count must be a non-negative integer, got {n!r}")
         adj = [0] * n
         for e in edges:
@@ -60,7 +61,7 @@ class Graph:
                 u, v = e
             except (TypeError, ValueError):
                 raise InputError(f"edge must be a pair, got {e!r}") from None
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (is_int(u) and is_int(v)):
                 raise InputError(f"edge endpoints must be integers, got {e!r}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge {e!r} out of range for n={n}")
@@ -141,13 +142,13 @@ class HSpec:
         phi = tuple(phi)
         if len(phi) != base.n:
             raise InputError(f"phi has length {len(phi)}, expected {base.n}")
-        if any(b not in (0, 1) for b in phi):
+        if any(not is_int(b) or b not in (0, 1) for b in phi):
             raise InputError("phi entries must be 0 or 1")
         if mult is not None:
             mult = tuple(mult)
             if len(mult) != base.n:
                 raise InputError(f"mult has length {len(mult)}, expected {base.n}")
-            if any(not isinstance(m, int) or m < 0 for m in mult):
+            if any(not is_int(m) or m < 0 for m in mult):
                 raise InputError("mult entries must be non-negative integers")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "phi", phi)
@@ -202,7 +203,7 @@ def family(name: str, params) -> Graph:
     arity = _family_arity(name)
     if arity is not None and len(params) != arity:
         raise InputError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
-    if any(not isinstance(p, int) for p in params):
+    if any(not is_int(p) for p in params):
         raise InputError("family parameters must be integers")
 
     if name == "path":

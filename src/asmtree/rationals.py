@@ -6,6 +6,11 @@ from math import factorial
 from .errors import InputError
 
 
+def is_int(x) -> bool:
+    """True for an int that is not a bool (JSON true/false parse as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def format_rational(q) -> str:
     """Serialize exactly: "p" for integers, "p/q" otherwise."""
     q = Fraction(q)

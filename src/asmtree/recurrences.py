@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError, LeadingCoefficientZero
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, is_int, parse_rational
 
 
 def _poly_eval(coeffs, x):
@@ -47,7 +47,7 @@ class PRecurrence:
             raise InputError("a recurrence needs order >= 1 (at least two polynomials)")
         if _poly_degree(polys[-1]) < 0:
             raise InputError("the leading polynomial must not be identically zero")
-        if not isinstance(offset, int) or offset < 0:
+        if not is_int(offset) or offset < 0:
             raise InputError("offset must be a non-negative integer")
         object.__setattr__(self, "polys", polys)
         object.__setattr__(self, "offset", offset)
@@ -112,8 +112,11 @@ class PRecurrence:
             polys = [[parse_rational(c) for c in p] for p in obj["polys"]]
         except (KeyError, TypeError) as exc:
             raise InputError("recurrence JSON needs a list of coefficient lists") from exc
-        rec = cls(polys, int(obj.get("offset", 0)))
-        if "order" in obj and obj["order"] != rec.order:
+        rec = cls(polys, obj.get("offset", 0))
+        order = obj.get("order", rec.order)
+        if not is_int(order):
+            raise InputError(f"order must be an integer, got {order!r}")
+        if order != rec.order:
             raise InputError(f"declared order {obj['order']} != {rec.order} polynomials")
         return rec
 
@@ -266,13 +269,17 @@ def guess(seq, max_order: int, max_degree: int) -> PRecurrence | None:
     Cells (order, degree) are tried in lexicographic order. Each cell fits
     on its first (order+1)(degree+1) + 2 applicable relations (offset 1;
     every target sequence here starts with an index-0 exception) and the
-    candidate must then verify exactly on every remaining term. Returns
-    None when nothing verifies; the result is normalized (content removed,
-    leading coefficient positive).
+    candidate must then verify exactly on every remaining term, of which
+    there are at least order + 2. The largest cell sets the length needed,
+    (max_order+1)(max_degree+1) + 2*max_order + 5 terms, so every cell is
+    tried. Returns None when nothing verifies; the result is normalized
+    (content removed, leading coefficient positive).
     """
+    for name, value, least in (("max_order", max_order, 1), ("max_degree", max_degree, 0)):
+        if not is_int(value) or value < least:
+            raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
     seq = [Fraction(v) for v in seq]
-    surplus_min = max_order + 2
-    needed = (max_order + 1) * (max_degree + 1) + max_order + surplus_min
+    needed = (max_order + 1) * (max_degree + 1) + 2 * max_order + 5
     if len(seq) < needed:
         raise InputError(
             f"need at least {needed} terms for order {max_order}, degree {max_degree}"
@@ -283,8 +290,6 @@ def guess(seq, max_order: int, max_degree: int) -> PRecurrence | None:
         for degree in range(0, max_degree + 1):
             unknowns = (order + 1) * (degree + 1)
             fit_count = unknowns + 2
-            if len(ns) < fit_count + order + 2:
-                continue
             rows = []
             for n in ns[:fit_count]:
                 row = []

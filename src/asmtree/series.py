@@ -16,21 +16,39 @@ are recovered as coefficient times the product of factorials. When H is
 complete multipartite and clique bits sit only on vertices adjacent to all
 others, every pair is two independent-block singletons and R is the
 quadratic 1 - 2*sum x_i + sum_{phi(i)=0} x_i^2 + 2*sum_{{i,j} not in E(H)} x_i x_j.
-Two square-root engines are used: the general coefficient recurrence from
-g^2 = f, and, for radicands given as sparse term dicts, the first-order
-identity 2*R*dg/dx = (dR/dx)*g which costs O(#terms of R) per coefficient
-and makes deep diagonal windows affordable.
+
+The template EGF is computed in integers. With T[f] = (prod f_i!)*g[f] for
+g = sqrt(R) and the scaled radicand (prod m_i!)*R[m], the first-order
+identity 2*R*dg/dx_p = (dR/dx_p)*g becomes an integer recurrence with one
+exact division per coefficient and O(#terms of R) work per coefficient
+(_sqrt_table); -T[f] is the tree count at f. hgraph_egf and b_egf turn the
+table into Fractions once, at the end. Before any work, a window's cost is
+estimated and refused over EGF_WORK_BUDGET. sqrt1, the general coefficient
+recurrence from g^2 = f, is kept as a reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .errors import DisconnectedGraph, EngineError, InputError
+from .errors import ComputationRefused, DisconnectedGraph, EngineError, InputError
 from .graphs import Graph, HSpec, is_connected_subset
 from .rationals import binom_half, format_rational
+
+
+def _check_caps(caps: tuple) -> None:
+    if not caps or any(not isinstance(c, int) or c < 0 for c in caps):
+        raise InputError("caps must be a non-empty tuple of non-negative integers")
+
+
+def _window_strides(caps: tuple) -> list[int]:
+    """Flat-index step of each coordinate in the row-major window."""
+    strides = [1] * len(caps)
+    for i in range(len(caps) - 2, -1, -1):
+        strides[i] = strides[i + 1] * (caps[i + 1] + 1)
+    return strides
 
 
 class TruncatedSeries:
@@ -40,11 +58,8 @@ class TruncatedSeries:
 
     def __init__(self, caps, coeffs=None):
         caps = tuple(caps)
-        if not caps or any(not isinstance(c, int) or c < 0 for c in caps):
-            raise InputError("caps must be a non-empty tuple of non-negative integers")
-        strides = [1] * len(caps)
-        for i in range(len(caps) - 2, -1, -1):
-            strides[i] = strides[i + 1] * (caps[i + 1] + 1)
+        _check_caps(caps)
+        strides = _window_strides(caps)
         size = strides[0] * (caps[0] + 1)
         if coeffs is None:
             coeffs = [0] * size
@@ -222,49 +237,156 @@ def sqrt1(f: TruncatedSeries) -> TruncatedSeries:
     return g
 
 
-def _sqrt_poly_radicand(radicand: dict, caps) -> TruncatedSeries:
-    """Square root of a radicand R with constant term 1, given as a term
-    dict truncated to the window, via 2*R*dg/dx_p = (dR/dx_p)*g, which
-    yields
+# Work budget of one EGF window, in the steps of _check_window_work; with
+# CPython 3.11 on a 2-vCPU virtual machine a window runs 5-9 million steps
+# per second. The tripartite window at caps 66 (acceptance criterion 7)
+# takes 9.0e6.
+EGF_WORK_BUDGET = 50_000_000
 
-        g[f] = -(1/f_p) * sum_{m in R, m != 0, m <= f} R[m]*(f_p - 3*m_p/2)*g[f-m]
 
-    for any coordinate p with f_p >= 1. The identity holds for any power
-    series R, so R need not be a polynomial; only its terms inside the
-    window are read. Each coefficient costs O(|R|)."""
+def _check_window_work(caps, terms: int) -> None:
+    """Refuse a window whose estimated steps exceed EGF_WORK_BUDGET. Per
+    cell: one per radicand term of the recurrence, 20 for the Fraction
+    conversion, and words^2/128 for the exact division and gcd of the
+    cell's coefficient, of at most about top*log2(top) bits (words of 64
+    bits), top = sum(caps)."""
+    top = sum(caps)
+    words = top * top.bit_length() // 64
+    work = prod(c + 1 for c in caps) * (terms + 20 + words * words // 128)
+    if work > EGF_WORK_BUDGET:
+        raise ComputationRefused(
+            f"EGF window {tuple(caps)} with {terms} radicand terms needs about "
+            f"{work:.2g} steps, over the budget of {EGF_WORK_BUDGET:.2g}"
+        )
+
+
+def _sqrt_table(radicand: dict, caps) -> list[int]:
+    """The table T[f] = (prod_i f_i!) * g[f] of g = sqrt(R), as a flat list in
+    TruncatedSeries order, from the scaled radicand
+    radicand[m] = (prod_i m_i!) * R[m], an integer dict with constant term 1.
+
+    Differentiating g^2 = R in x_p, p the first coordinate with f_p >= 1,
+    gives for every f != 0
+
+        2 f_p T[f] = -sum_{m != 0, m <= f} radicand[m] * (2 f_p - 3 m_p)
+                                           * prod_i C(f_i, m_i) * T[f - m].
+
+    Each cell costs O(#terms). The division is exact when every scaled term
+    but the constant is even, as in every template radicand; a remainder
+    raises EngineError. Cells are filled row by row along the last
+    coordinate: terms that reach back into earlier rows are added to a
+    whole row at once, and terms in the last variable alone run along it.
+    """
     caps = tuple(caps)
-    mono = [(tuple(m), Fraction(v)) for m, v in radicand.items() if any(m) and v]
-    if Fraction(radicand.get((0,) * len(caps), 0)) != 1:
+    if radicand.get((0,) * len(caps)) != 1:
         raise InputError("radicand must have constant term 1")
-    g = TruncatedSeries(caps)
-    gc = g._coeffs
-    strides = g._strides
-    gc[0] = Fraction(1)
-    for exp in g.exponents():
-        p = next((i for i, e in enumerate(exp) if e), None)
-        if p is None:
+    width = caps[-1] + 1
+    head = caps[:-1]
+    strides = _window_strides(caps)
+    cross, along = [], []
+    for m, r in radicand.items():
+        if not r or not any(m) or any(e > c for e, c in zip(m, caps)):
             continue
-        fp = exp[p]
-        idx = sum(e * s for e, s in zip(exp, strides))
-        acc = 0
-        for m, r in mono:
-            lower = tuple(e - d for e, d in zip(exp, m))
-            if any(e < 0 for e in lower):
+        nz = tuple((i, e) for i, e in enumerate(m[:-1]) if e)
+        if nz:
+            cross.append((nz, sum(e * strides[i] for i, e in nz), m, r))
+        else:
+            along.append((m[-1], r))
+    col = {
+        e: [comb(n, e) for n in range(max(caps) + 1)]
+        for m in radicand
+        for e in m
+        if e and all(d <= c for d, c in zip(m, caps))
+    }
+    # terms in the last variable alone, weighted by C(j, e) at row cell j
+    along_at = [[(e, r * col[e][j]) for e, r in along if e <= j] for j in range(width)]
+    table = [0] * (prod(c + 1 for c in head) * width)
+    table[0] = 1
+
+    def exact(num: int, den: int, cell) -> int:
+        q, rem = divmod(num, den)
+        if rem:
+            raise EngineError(f"square-root table is not integral at {cell}")
+        return q
+
+    for j in range(1, width):  # the row of the last variable: p is last
+        acc = sum(w * (2 * j - 3 * e) * table[j - e] for e, w in along_at[j])
+        table[j] = -exact(acc, 2 * j, (0,) * len(head) + (j,))
+    for row, f in enumerate(product(*(range(c + 1) for c in head))):
+        if not row:
+            continue
+        p = next(i for i, e in enumerate(f) if e)
+        two_fp = 2 * f[p]
+        start = row * width
+        acc = [0] * width
+        for nz, back, m, r in cross:
+            if any(f[i] < e for i, e in nz):
                 continue
-            v = gc[sum(e * s for e, s in zip(lower, strides))]
-            if v:
-                acc += r * (fp - Fraction(3 * m[p], 2)) * v
-        if acc:
-            gc[idx] = -acc / fp
-    return g
+            c = r * (two_fp - 3 * m[p])
+            for i, e in nz:
+                c *= col[e][f[i]]
+            src = start - back
+            e = m[-1]
+            if e:
+                acc[e:] = [
+                    a + c * b * t
+                    for a, b, t in zip(acc[e:], col[e][e:width], table[src : src + width - e])
+                ]
+            else:
+                acc = [a + c * t for a, t in zip(acc, table[src : src + width])]
+        for j, a in enumerate(acc):
+            # m_p = 0 on the terms in the last variable, so 2 f_p cancels
+            q = exact(a, two_fp, f + (j,))
+            for e, w in along_at[j]:
+                q += w * table[start + j - e]
+            table[start + j] = -q
+    return table
 
 
-def _block_egf(spec: HSpec, caps, block: int) -> dict:
-    """A_U: the terms of the EGF of the sub-template induced on the
-    connected vertex set `block` (a bitset) whose monomials use every
-    variable of the block, as exponents over all template variables."""
+def _radicand_pairs(spec: HSpec, caps) -> list[tuple[int, int]]:
+    """The pairs {U, V} (bitsets, U < V) of disjoint connected template
+    vertex sets with no template edge between them, over the vertices with
+    a nonzero cap (only those occur in a window monomial)."""
+    base = spec.base
+    live = sum(1 << i for i in range(base.n) if caps[i])
+    blocks = {
+        b for b in range(1, live + 1) if b & live == b and is_connected_subset(base, b)
+    }
+    pairs = []
+    for u in sorted(blocks):
+        far = live & ~u
+        for i in range(base.n):
+            if u >> i & 1:
+                far &= ~base.adj[i]
+        v = 0
+        while True:  # submasks of `far` in increasing order
+            v = (v - far) & far
+            if not v:
+                break
+            if v > u and v in blocks:
+                pairs.append((u, v))
+    return pairs
+
+
+def _block_vertices(spec: HSpec, block: int) -> list[int]:
+    return [v for v in range(spec.base.n) if block >> v & 1]
+
+
+def _block_size(spec: HSpec, caps, block: int) -> int:
+    """Number of monomials of A_U in the window (see _block_counts)."""
+    verts = _block_vertices(spec, block)
+    if len(verts) == 1 and spec.phi[verts[0]] == 0:
+        return 1
+    return prod(caps[v] for v in verts)
+
+
+def _block_counts(spec: HSpec, caps, block: int) -> dict:
+    """A_U as tree counts: the monomials of the EGF of the sub-template
+    induced on the connected vertex set `block` (a bitset) that use every
+    variable of the block, as exponents over all template variables,
+    mapped to (prod_i a_i!) * A_U[a]."""
     base, phi = spec.base, spec.phi
-    verts = [v for v in range(base.n) if block >> v & 1]
+    verts = _block_vertices(spec, block)
     if len(verts) == 1 and phi[verts[0]] == 0:
         e = [0] * base.n
         e[verts[0]] = 1
@@ -274,64 +396,74 @@ def _block_egf(spec: HSpec, caps, block: int) -> dict:
         Graph(len(verts), [(pos[u], pos[v]) for u, v in base.edges() if u in pos and v in pos]),
         tuple(phi[v] for v in verts),
     )
+    sub_caps = tuple(caps[v] for v in verts)
+    table = _template_table(sub, sub_caps)
+    strides = _window_strides(sub_caps)
     out = {}
-    for sub_exp, c in hgraph_egf(sub, tuple(caps[v] for v in verts)).terms():
-        if all(sub_exp):
-            e = [0] * base.n
-            for v, k in zip(verts, sub_exp):
-                e[v] = k
-            out[tuple(e)] = c
+    for sub_exp in product(*(range(1, c + 1) for c in sub_caps)):
+        e = [0] * base.n
+        for v, k in zip(verts, sub_exp):
+            e[v] = k
+        out[tuple(e)] = -table[sum(k * s for k, s in zip(sub_exp, strides))]
     return out
 
 
-def _radicand_terms(spec: HSpec, caps) -> dict:
-    """R = (1 - A)^2 for the template EGF A, truncated to caps.
+def _radicand_terms(spec: HSpec, caps, pairs) -> dict:
+    """The scaled radicand (prod_i m_i!) * R[m] of R = (1 - A)^2 for the
+    template EGF A, over the window.
 
     A = sum x_i + (1/2)*P_conn(A^2), where P_conn keeps the monomials whose
     blow-up is connected, so R = 1 - 2*sum x_i + (A^2 - P_conn(A^2)). A^2 is
     nonzero on a disconnected pattern only when its blow-up has exactly
-    two components: two vertices of one independent block (x_i^2), or two
-    disjoint connected vertex sets U, V of the template with no template
-    edge between them (2*A_U*A_V, see _block_egf).
+    two components: two vertices of one independent block (x_i^2, scaled
+    2), or two disjoint connected vertex sets U, V of the template with no
+    template edge between them (2*A_U*A_V, scaled 2*count_U*count_V; see
+    _block_counts and _radicand_pairs).
     """
-    base, phi = spec.base, spec.phi
-    n = base.n
+    n = spec.base.n
     terms: dict[tuple, int] = {(0,) * n: 1}
-
-    def unit(i, k=1):
-        e = [0] * n
-        e[i] = k
-        return tuple(e)
-
     for i in range(n):
-        terms[unit(i)] = -2
-        if phi[i] == 0:
-            terms[unit(i, 2)] = 1
-    # only vertices with a nonzero cap can occur in a window monomial
-    live = sum(1 << i for i in range(n) if caps[i])
-    blocks = {
-        b for b in range(1, live + 1) if b & live == b and is_connected_subset(base, b)
-    }
+        e = [0] * n
+        e[i] = 1
+        terms[tuple(e)] = -2
+        if spec.phi[i] == 0:
+            e[i] = 2
+            terms[tuple(e)] = 2
     parts: dict[int, dict] = {}
-    for u in sorted(blocks):
-        far = live & ~u
-        for i in range(n):
-            if u >> i & 1:
-                far &= ~base.adj[i]
-        v = 0
-        while True:  # submasks of `far` in increasing order
-            v = (v - far) & far
-            if not v:
-                break
-            if v < u or v not in blocks:
-                continue
-            for block in (u, v):
-                if block not in parts:
-                    parts[block] = _block_egf(spec, caps, block)
-            for eu, au in parts[u].items():
-                for ev, av in parts[v].items():
-                    terms[tuple(a + b for a, b in zip(eu, ev))] = 2 * au * av
+    for u, v in pairs:
+        for block in (u, v):
+            if block not in parts:
+                parts[block] = _block_counts(spec, caps, block)
+        for eu, cu in parts[u].items():
+            for ev, cv in parts[v].items():
+                terms[tuple(a + b for a, b in zip(eu, ev))] = 2 * cu * cv
     return terms
+
+
+def _template_table(spec: HSpec, caps) -> list[int]:
+    """The _sqrt_table of the exact template radicand; -T[f] is the tree
+    count of the blow-up at f for every f != 0. The window's work is
+    checked against EGF_WORK_BUDGET before any block EGF is computed."""
+    if not spec.base.is_connected():
+        raise DisconnectedGraph("hgraph_egf needs a connected template graph")
+    caps = tuple(caps)
+    if len(caps) != spec.base.n:
+        raise InputError(f"caps must have {spec.base.n} entries")
+    _check_caps(caps)
+    pairs = _radicand_pairs(spec, caps)
+    # x_i and x_i^2 for every vertex, at most, plus the pair products
+    terms = 2 * spec.base.n + sum(
+        _block_size(spec, caps, u) * _block_size(spec, caps, v) for u, v in pairs
+    )
+    _check_window_work(caps, terms)
+    return _sqrt_table(_radicand_terms(spec, caps, pairs), caps)
+
+
+def _factorials(top: int) -> list[int]:
+    fact = [1] * (top + 1)
+    for k in range(2, top + 1):
+        fact[k] = fact[k - 1] * k
+    return fact
 
 
 def hgraph_egf(spec: HSpec, caps) -> TruncatedSeries:
@@ -344,14 +476,18 @@ def hgraph_egf(spec: HSpec, caps) -> TruncatedSeries:
     adjacent to all others, R is the quadratic polynomial
     1 - 2*sum x_i + sum_{phi(i)=0} x_i^2 + 2*sum_{{i,j} not in E(H)} x_i x_j.
     Elsewhere R carries the EGFs of sub-templates, computed recursively.
+    Raises ComputationRefused when the window is over EGF_WORK_BUDGET.
     """
-    if not spec.base.is_connected():
-        raise DisconnectedGraph("hgraph_egf needs a connected template graph")
+    table = _template_table(spec, caps)
     caps = tuple(caps)
-    if len(caps) != spec.base.n:
-        raise InputError(f"caps must have {spec.base.n} entries")
-    one = TruncatedSeries.one(caps)
-    return one - _sqrt_poly_radicand(_radicand_terms(spec, caps), caps)
+    fact = _factorials(max(caps))
+    width = caps[-1] + 1
+    for row, f in enumerate(product(*(range(c + 1) for c in caps[:-1]))):
+        pf = prod(fact[e] for e in f)
+        cells = slice(row * width, (row + 1) * width)
+        table[cells] = [Fraction(-t, pf * d) if t else 0 for t, d in zip(table[cells], fact)]
+    table[0] = 0
+    return TruncatedSeries(caps, table)
 
 
 def count_from_egf(series: TruncatedSeries, n) -> int:
@@ -385,9 +521,11 @@ def b_egf(N: int, M: int, J: int, cap: int) -> Series1:
         raise InputError(f"b_egf needs 0 <= J <= {N}")
     if not (isinstance(cap, int) and cap >= 0):
         raise InputError("b_egf needs cap >= 0")
-    radicand = {(0,): 1, (1,): -2 * N, (2,): 2 * comb(N, 2) - 2 * M + J}
-    g = _sqrt_poly_radicand(radicand, (cap,))
-    return Series1([(1 if k == 0 else 0) - g.coeff((k,)) for k in range(cap + 1)])
+    radicand = {(0,): 1, (1,): -2 * N, (2,): 2 * (2 * comb(N, 2) - 2 * M + J)}
+    _check_window_work((cap,), 2)
+    table = _sqrt_table(radicand, (cap,))
+    fact = _factorials(cap)
+    return Series1([0] + [Fraction(-t, d) for t, d in zip(table[1:], fact[1:])])
 
 
 def diagonal(series: TruncatedSeries) -> Series1:

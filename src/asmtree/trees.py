@@ -150,7 +150,9 @@ def count_edge_rule(g: Graph) -> int:
         memo[u] = val
         return val
 
-    return a(g.full_mask)
+    count = a(g.full_mask)
+    del a  # breaks the a -> closure -> a cycle, so the memo is freed now
+    return count
 
 
 def _edge_trees_by_subset(g: Graph) -> dict[int, tuple[AssemblyTree, ...]]:
@@ -187,6 +189,7 @@ def _edge_trees_by_subset(g: Graph) -> dict[int, tuple[AssemblyTree, ...]]:
         return out
 
     trees(g.full_mask)
+    del trees  # breaks the trees -> closure -> trees cycle; the caller owns memo
     return memo
 
 
@@ -310,6 +313,7 @@ def _connected_trees_by_subset(g: Graph) -> dict[int, tuple[AssemblyTree, ...]]:
         return out
 
     trees(g.full_mask)
+    del trees  # breaks the trees -> closure -> trees cycle; the caller owns memo
     return memo
 
 

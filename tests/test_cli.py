@@ -248,3 +248,58 @@ def test_seq_file_errors(capsys, tmp_path):
     empty.write_text("\n")
     code, _, _ = run_cli(capsys, "verify-rec", "--rec", "builtin:a", "--seq", str(empty))
     assert code == 2
+
+
+TRIPARTITE_JSON = '{"hgraph": {"H_edges": [[0,1],[0,2],[1,2]], "phi": [0,0,0]}}'
+
+
+def test_diagonal_over_budget_exit_1(capsys, monkeypatch):
+    from asmtree import series
+
+    def unreachable(*_):
+        raise AssertionError("window work started")
+
+    monkeypatch.setattr(series, "_sqrt_table", unreachable)
+    code, out, err = run_cli(
+        capsys, "diagonal", "--hgraph", TRIPARTITE_JSON, "--upto", "3000"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("refused:") and err.count("\n") == 1
+
+
+def test_guess_rec_negative_order_exit_2(capsys, tmp_path):
+    seq = _write_seq(tmp_path, [str(n) for n in range(30)])
+    code, out, err = run_cli(
+        capsys, "guess-rec", "--seq", seq, "--max-order", "-1", "--max-degree", "3"
+    )
+    assert code == 2 and out == "" and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [
+        '{"order": 1, "offset": "abc", "polys": [["-2", "-4"], ["1", "1"]]}',
+        '{"order": 1, "offset": true, "polys": [["-2", "-4"], ["1", "1"]]}',
+        '{"order": true, "offset": 0, "polys": [["-2", "-4"], ["1", "1"]]}',
+    ],
+    ids=["offset-string", "offset-bool", "order-bool"],
+)
+def test_verify_rec_rejects_non_integer_fields(capsys, tmp_path, rec):
+    seq = _write_seq(tmp_path, ["1", "1", "2", "5", "14", "42"])
+    code, out, err = run_cli(capsys, "verify-rec", "--rec", rec, "--seq", seq)
+    assert code == 2 and out == "" and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        '{"n": true, "edges": []}',
+        '{"n": 2, "edges": [[false, true]]}',
+        '{"family": "path", "params": [true]}',
+        '{"hgraph": {"H_edges": [[0,1]], "phi": [0,0], "mult": [true, 2]}}',
+    ],
+    ids=["n-bool", "endpoints-bool", "family-param-bool", "mult-bool"],
+)
+def test_count_rejects_bools(capsys, graph):
+    code, out, err = run_cli(capsys, "count", "--graph", graph)
+    assert code == 2 and out == "" and err.count("\n") == 1

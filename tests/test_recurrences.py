@@ -135,6 +135,27 @@ def test_guess_returns_none_for_random_like_data():
 def test_guess_insufficient_terms():
     with pytest.raises(InputError):
         guess([F(1)] * 10, 3, 11)
+    # the (3, 11) cell needs 4*12 + 2 fit rows and 5 surplus relations from
+    # index 1 on: 59 terms; with 58 it used to be skipped silently
+    with pytest.raises(InputError):
+        guess([F(1)] * 58, 3, 11)
+
+
+def test_guess_rejects_bad_bounds():
+    data = catalan_terms(30)
+    for order, degree in [(0, 3), (-1, 3), (2, -1), (True, 3), (2, 1.0)]:
+        with pytest.raises(InputError):
+            guess(data, order, degree)
+
+
+def test_guess_minimum_length_finds_the_recurrence():
+    # (2, 3) needs 3*4 + 2*2 + 5 = 21 terms, as the recurrence demo uses
+    data = extend(builtin("a"), [0, 1], 20)
+    rec = guess(data, 2, 3)
+    assert rec is not None
+    assert same_extension(rec, builtin("a"), [0, 1], 40)
+    with pytest.raises(InputError):
+        guess(data[:20], 2, 3)
 
 
 def test_recurrence_json_roundtrip():

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
 from asmtree import (
+    ComputationRefused,
     DisconnectedGraph,
     EngineError,
     Graph,
@@ -23,6 +24,7 @@ from asmtree import (
     mul,
     sqrt1,
 )
+from asmtree import series
 
 BIPARTITE = HSpec(family("complete", [2]), (0, 0))
 # template edge with one independent side and one clique side; this
@@ -391,3 +393,59 @@ def test_series_json_dump_shape():
     assert {"exp": [2, 2], "coeff": "5/2"} in obj
     exps = [tuple(t["exp"]) for t in obj]
     assert exps == sorted(exps)
+
+
+def _random_scaled_radicand(rng: random.Random, caps) -> dict:
+    # every term but the constant even, as in template radicands, so the
+    # scaled square-root table is integral
+    rt = {(0,) * len(caps): 1}
+    for exp in TruncatedSeries.one(caps).exponents():
+        if any(exp) and rng.random() < 0.6:
+            rt[exp] = 2 * rng.randint(-5, 5)
+    return rt
+
+
+@pytest.mark.parametrize("caps", [(7,), (4, 3), (3, 2, 3)])
+def test_integer_engine_matches_sqrt1(caps):
+    rng = random.Random(sum(caps) * 101 + len(caps))
+    for _ in range(10):
+        rt = _random_scaled_radicand(rng, caps)
+        weight = {exp: prod(factorial(e) for e in exp) for exp in rt}
+        g = sqrt1(
+            TruncatedSeries.from_terms(caps, {m: F(r, weight[m]) for m, r in rt.items()})
+        )
+        table = series._sqrt_table(rt, caps)
+        for idx, exp in enumerate(g.exponents()):
+            assert table[idx] == g.coeff(exp) * prod(factorial(e) for e in exp), exp
+
+
+def test_integer_engine_rejects_non_integral_table():
+    # R = 1 - x: 2*T[1] = -1 has no integer solution
+    with pytest.raises(EngineError):
+        series._sqrt_table({(0,): 1, (1,): -1}, (3,))
+
+
+def test_b_egf_values_pinned():
+    # values of the Fraction engine the integer table replaced
+    pinned = {
+        (3, 3, 3): [0, 3, 3, 9, F(63, 2), F(243, 2), F(999, 2), F(4293, 2), F(76221, 8)],
+        (2, 1, 1): [0, 2, F(3, 2), 3, F(57, 8), F(75, 4), F(843, 16), F(1239, 8), F(60213, 128)],
+        (4, 2, 1): [0, 4, F(7, 2), 14, F(497, 8), F(595, 2), F(24087, 16), F(31731, 4), F(5516133, 128)],
+        (3, 0, 0): [0, 3, F(3, 2), F(9, 2), F(117, 8), F(405, 8), F(2943, 16), F(11097, 16), F(344493, 128)],
+    }
+    for (N, M, J), want in pinned.items():
+        assert list(b_egf(N, M, J, 8)) == want
+
+
+def test_egf_windows_over_budget_are_refused_before_any_work(monkeypatch):
+    def unreachable(*_):
+        raise AssertionError("window work started")
+
+    monkeypatch.setattr(series, "_sqrt_table", unreachable)
+    monkeypatch.setattr(series, "_block_counts", unreachable)
+    with pytest.raises(ComputationRefused):
+        hgraph_egf(TRIPARTITE, (3000, 3000, 3000))
+    with pytest.raises(ComputationRefused):
+        hgraph_egf(HSpec(Graph(3, [(0, 1), (1, 2)]), (1, 0, 1)), (60, 60, 60))
+    with pytest.raises(ComputationRefused):
+        b_egf(1, 0, 0, 100000)

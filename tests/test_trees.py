@@ -253,3 +253,29 @@ def test_closed_form_rejects():
         closed_form("cycle", 2)
     with pytest.raises(InputError):
         closed_form("caterpillar", 3)
+
+
+def test_subset_dp_closures_are_freed_on_return():
+    # the memoizing closures refer to themselves; left as a cycle they keep
+    # their memo alive until the cyclic collector runs
+    import gc
+    from types import FunctionType
+
+    from asmtree import count_connected_rule, enumerate_edge_rule
+
+    def leftover():
+        owners = ("count_edge_rule.", "_edge_trees_by_subset.", "_connected_trees_by_subset.")
+        return [
+            o for o in gc.get_objects()
+            if isinstance(o, FunctionType) and o.__qualname__.startswith(owners)
+        ]
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_edge_rule(family("cycle", [6])) == 126
+        assert len(enumerate_edge_rule(family("path", [4]))) == 5
+        assert count_connected_rule(family("path", [4])) == 11
+        assert leftover() == []
+    finally:
+        gc.enable()
