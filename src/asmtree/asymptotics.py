@@ -60,10 +60,6 @@ class GrowthModel:
         }
 
 
-def _int_polys(rec: PRecurrence) -> list[list[int]]:
-    return rec.integer_polys()
-
-
 def _ipoly_eval(coeffs: list[int], x: int) -> int:
     acc = 0
     for c in reversed(coeffs):
@@ -82,7 +78,7 @@ def log_sequence(rec: PRecurrence, initial, n_max: int) -> LogSequence:
     L = rec.order
     if n_max < rec.offset + L + 2:
         raise InputError("n_max too small to iterate")
-    ipolys = _int_polys(rec)
+    ipolys = rec.integer_polys()
     warm = extend(rec, initial, min(n_max, rec.offset + L + 8))
     start = next((i for i, v in enumerate(warm) if v != 0), None)
     if start is None:

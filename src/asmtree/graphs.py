@@ -190,19 +190,14 @@ def build_h_graph(spec: HSpec) -> Graph:
     return Graph(total, edges)
 
 
-def _family_arity(name: str) -> int | None:
-    # complete_multipartite takes any positive number of parameters
-    return None if name == "complete_multipartite" else 1
-
-
 def family(name: str, params) -> Graph:
     """Named family constructor; see FAMILY_NAMES for the accepted names."""
     params = list(params)
     if name not in FAMILY_NAMES:
         raise InputError(f"unknown family {name!r}")
-    arity = _family_arity(name)
-    if arity is not None and len(params) != arity:
-        raise InputError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
+    # complete_multipartite takes any positive number of parameters
+    if name != "complete_multipartite" and len(params) != 1:
+        raise InputError(f"family {name!r} takes 1 parameter(s), got {len(params)}")
     if any(not is_int(p) for p in params):
         raise InputError("family parameters must be integers")
 

@@ -11,20 +11,28 @@ supported:
   connected subgraph, and internal nodes have at least two children.
 
 Counts are computed three independent ways for cross-validation: an exact
-subset-DP convolution, explicit recursive enumeration of canonical trees,
-and bottom-up construction from every edge ordering of every spanning
-tree. Trees compare equal exactly when there is a label-preserving
+convolution over vertex sets, explicit recursive enumeration of canonical
+trees, and bottom-up construction from every edge ordering of every
+spanning tree. Trees compare equal exactly when there is a label-preserving
 isomorphism; canonical codes realize that equality as byte strings.
+
+Both counters are thin wrappers over one convolution core on the twin
+quotient: twins (vertices with equal open or equal closed neighbourhoods)
+are interchangeable, so a count depends only on how many vertices of each
+twin class a set holds, and a blow-up with class sizes k_i has
+prod(k_i + 1) states. Every split is anchored at the lowest vertex of the
+set it splits, so each unordered split is visited once: no sum is
+halved, and there is no parity to check.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import CapExceeded, ComputationRefused, DisconnectedGraph, InputError
-from .graphs import Graph, _connected_mask
+from .graphs import Graph, _connected_mask, relabel
 
 SMALL_ENUM_CAP = 9
 DEFAULT_SUBSET_CAP = 24
@@ -32,7 +40,8 @@ _CAP_ENV = "ASMTREE_MAX_SUBSET_BITS"
 
 
 def subset_cap() -> int:
-    """Current subset-DP vertex cap; overridable via ASMTREE_MAX_SUBSET_BITS."""
+    """Current counting cap in bits: the counters refuse a graph whose split
+    estimate exceeds 3^cap. Overridable via ASMTREE_MAX_SUBSET_BITS."""
     raw = os.environ.get(_CAP_ENV)
     if raw is None:
         return DEFAULT_SUBSET_CAP
@@ -42,13 +51,17 @@ def subset_cap() -> int:
         raise InputError(f"{_CAP_ENV} must be an integer, got {raw!r}") from exc
 
 
-def _check_countable(g: Graph, cap: int, what: str) -> None:
+def _check_countable(g: Graph, what: str) -> None:
     if g.n == 0:
         raise ComputationRefused(f"{what}: empty graph has no assembly trees")
-    if g.n > cap:
-        raise CapExceeded(f"{what}: {g.n} vertices exceeds the cap of {cap}")
     if not g.is_connected():
         raise DisconnectedGraph(f"{what}: graph is not connected")
+
+
+def _check_enumerable(g: Graph, what: str) -> None:
+    if g.n > SMALL_ENUM_CAP:
+        raise CapExceeded(f"{what}: {g.n} vertices exceeds the cap of {SMALL_ENUM_CAP}")
+    _check_countable(g, what)
 
 
 class AssemblyTree:
@@ -113,46 +126,154 @@ class AssemblyTree:
 CanonicalCode = bytes
 
 
-def count_edge_rule(g: Graph) -> int:
-    """Number of distinct edge-rule assembly trees, by exact subset DP.
+def _twin_layout(g: Graph) -> tuple[tuple[int, ...], int, list[tuple[int, int]]]:
+    """Relabel g so that its twin classes are contiguous bit blocks.
 
-    a(U) = 1 for singletons, 0 for disconnected induced subgraphs, and
-    otherwise half the sum of a(S)·a(U\\S) over ordered proper splits; the
-    disconnected short-circuit makes the crossing-edge test implicit. The
-    ordered sum is always even (splits come in swapped pairs), which is
-    asserted as a recursion health check.
+    True twins have equal closed neighbourhoods, false twins equal open
+    ones; a vertex with a true twin has no false twin, so the two
+    relations never mix. One-vertex classes keep their order in the low
+    `ns` bits; every larger class follows as a block (offset, size), in
+    order of its lowest vertex. Returns (adjacency, ns, blocks).
     """
-    _check_countable(g, subset_cap(), "count_edge_rule")
-    adj = g.adj
-    memo: dict[int, int] = {}
+    closed: dict[int, list[int]] = {}
+    open_: dict[int, list[int]] = {}
+    for v, nb in enumerate(g.adj):
+        closed.setdefault(nb | 1 << v, []).append(v)
+        open_.setdefault(nb, []).append(v)
+    singles: list[int] = []
+    classes: list[list[int]] = []
+    for v, nb in enumerate(g.adj):
+        cls = closed[nb | 1 << v]
+        if len(cls) == 1:
+            cls = open_[nb]
+        if cls[0] != v:
+            continue  # placed with its lowest member
+        if len(cls) == 1:
+            singles.append(v)
+        else:
+            classes.append(cls)
+    perm = [0] * g.n
+    for i, v in enumerate(singles + [v for cls in classes for v in cls]):
+        perm[v] = i
+    blocks = []
+    offset = len(singles)
+    for cls in classes:
+        blocks.append((offset, len(cls)))
+        offset += len(cls)
+    return relabel(g, perm).adj, len(singles), blocks
 
-    def a(u: int) -> int:
-        got = memo.get(u)
-        if got is not None:
-            return got
-        if u & (u - 1) == 0:
-            memo[u] = 1
-            return 1
-        if not _connected_mask(adj, u):
-            memo[u] = 0
-            return 0
-        total = 0
-        s = (u - 1) & u
-        while s:
-            x = a(s)
-            if x:
-                y = a(u ^ s)
-                if y:
-                    total += x * y
-            s = (s - 1) & u
-        assert total % 2 == 0, "ordered split sum must be even"
-        val = total // 2
-        memo[u] = val
-        return val
 
-    count = a(g.full_mask)
-    del a  # breaks the a -> closure -> a cycle, so the memo is freed now
-    return count
+def _block_splits(blocks, ms, anchored: bool) -> list[tuple[int, int, int]]:
+    """(weight, part, other) for every choice of j_i twins from each block.
+
+    A state holds the lowest ms[i] bits of block i; the part takes the
+    lowest j_i of them and the other part the lowest ms[i] - j_i, with weight
+    prod C(ms[i], j_i). When `anchored`, the part holds the state's lowest
+    vertex, which lies in the first nonempty block: its j runs from 1 with
+    weight C(m - 1, j - 1).
+    """
+    out = [(1, 0, 0)]
+    for (offset, _), m in zip(blocks, ms):
+        if not m:
+            continue
+        lo = 1 if anchored else 0
+        anchored = False
+        out = [
+            (w * comb(m - lo, j - lo), part | ((1 << j) - 1) << offset,
+             other | ((1 << (m - j)) - 1) << offset)
+            for w, part, other in out
+            for j in range(lo, m + 1)
+        ]
+    return out
+
+
+def _count_trees(g: Graph, connected_rule: bool, what: str) -> int:
+    """Assembly trees of g under either rule, by one convolution over the
+    twin quotient.
+
+    A state is a vertex set that holds the lowest m_i vertices of each twin
+    block i, so a blow-up has prod(k_i + 1) states; one-vertex classes
+    split by plain submasks, blocks by multiplicity with binomial weights
+    w. Each split s of a state u holds u's lowest vertex (the anchor), so
+    every unordered split is visited once: conv(u, X) = sum w·a(s)·X(u - s)
+    over anchored s != u, and a(u) = conv(u, X), or 0 when u is
+    disconnected. The edge rule takes X = a; the connected rule takes
+    X = P, the weighted count of partitions into connected parts,
+    P(u) = a(u) + conv(u, P).
+    """
+    _check_countable(g, what)
+    adj, ns, blocks = _twin_layout(g)
+    cap = subset_cap()
+    # C(k + 2, 2) <= 3^k, so no estimate exceeds 3^n and a cap of n or more
+    # admits every graph without raising 3 to a huge power
+    estimate = 3**ns * prod(comb(k + 2, 2) for _, k in blocks)
+    if cap < g.n and estimate > 3**cap:
+        raise CapExceeded(f"{what}: split estimate {estimate} exceeds the cap 3^{cap}")
+    width = 1 << ns
+    a: dict[int, list[int]] = {}  # block part -> row indexed by single-vertex bits
+    x = {} if connected_rule else a
+    # the last block varies slowest, so every sub-state comes first
+    for rev in product(*(range(k + 1) for _, k in reversed(blocks))):
+        ms = rev[::-1]
+        base = sum(((1 << m) - 1) << off for (off, _), m in zip(blocks, ms))
+        splits = _block_splits(blocks, ms, False)
+        a[base] = arow = [0] * width
+        xrow = x[base] = [0] * width if connected_rule else arow
+        for free in range(width):
+            u = base | free
+            if not u:
+                continue
+            conn = _connected_mask(adj, u)
+            if not (conn or connected_rule):
+                continue
+            if free:
+                low = free & -free
+                rest = free ^ low
+                parts = splits
+            else:
+                low = rest = 0
+                parts = _block_splits(blocks, ms, True)
+            # the one split with an empty rest has part u, whose entry is
+            # not written yet, and the empty state is never written: it adds 0
+            total = 0
+            for w, part, other in parts:
+                ap = a[part]
+                xo = x[other]
+                acc = 0
+                t = rest
+                while True:
+                    y = ap[low | t]
+                    if y:
+                        acc += y * xo[rest ^ t]
+                    if not t:
+                        break
+                    t = (t - 1) & rest
+                total += w * acc
+            val = 1 if u & (u - 1) == 0 else total if conn else 0
+            arow[free] = val
+            if connected_rule:
+                xrow[free] = val + total
+    return arow[-1]  # the last state is the whole graph
+
+
+def count_edge_rule(g: Graph) -> int:
+    """Number of distinct edge-rule assembly trees: a(U) sums
+    a(S)·a(U\\S) over the splits of U, which are crossed by an edge exactly
+    when U is connected."""
+    return _count_trees(g, False, "count_edge_rule")
+
+
+def _anchored_parts(mask: int):
+    """Yield every submask of `mask` that holds its lowest vertex, from
+    `mask` itself down to that vertex alone."""
+    low = mask & -mask
+    rest = mask ^ low
+    t = rest
+    while True:
+        yield low | t
+        if not t:
+            return
+        t = (t - 1) & rest
 
 
 def _edge_trees_by_subset(g: Graph) -> dict[int, tuple[AssemblyTree, ...]]:
@@ -168,23 +289,15 @@ def _edge_trees_by_subset(g: Graph) -> dict[int, tuple[AssemblyTree, ...]]:
         elif not _connected_mask(adj, u):
             out = ()
         else:
-            acc = []
-            low = u & -u
-            rest = u ^ low
-            s = rest
-            # s runs over submasks of rest, so S = low|s holds the lowest
-            # vertex and each unordered split appears exactly once
-            while True:
-                part = low | s
-                if part != u:
-                    other = u ^ part
-                    for t1 in trees(part):
-                        for t2 in trees(other):
-                            acc.append(AssemblyTree(u, (t1, t2)))
-                if s == 0:
-                    break
-                s = (s - 1) & rest
-            out = tuple(acc)
+            # each part holds the lowest vertex, so each unordered split
+            # appears exactly once
+            out = tuple(
+                AssemblyTree(u, (t1, t2))
+                for part in _anchored_parts(u)
+                if part != u
+                for t1 in trees(part)
+                for t2 in trees(u ^ part)
+            )
         memo[u] = out
         return out
 
@@ -193,15 +306,23 @@ def _edge_trees_by_subset(g: Graph) -> dict[int, tuple[AssemblyTree, ...]]:
     return memo
 
 
-def enumerate_edge_rule_trees(g: Graph, cap: int = SMALL_ENUM_CAP) -> tuple[AssemblyTree, ...]:
+def enumerate_edge_rule_trees(g: Graph) -> tuple[AssemblyTree, ...]:
     """All distinct edge-rule assembly trees as explicit objects."""
-    _check_countable(g, cap, "enumerate_edge_rule")
+    _check_enumerable(g, "enumerate_edge_rule")
     return _edge_trees_by_subset(g)[g.full_mask]
 
 
-def enumerate_edge_rule(g: Graph, cap: int = SMALL_ENUM_CAP) -> set[CanonicalCode]:
+def enumerate_edge_rule(g: Graph) -> set[CanonicalCode]:
     """Canonical codes of all distinct edge-rule assembly trees."""
-    return {t.canonical_code() for t in enumerate_edge_rule_trees(g, cap)}
+    return {t.canonical_code() for t in enumerate_edge_rule_trees(g)}
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def spanning_trees(g: Graph) -> list[tuple[tuple[int, int], ...]]:
@@ -214,21 +335,12 @@ def spanning_trees(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     out = []
     for subset in combinations(edges, g.n - 1):
         parent = list(range(g.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
         for u, v in subset:
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru == rv:
-                ok = False
                 break
             parent[ru] = rv
-        if ok:
+        else:
             out.append(subset)
     return out
 
@@ -240,31 +352,24 @@ def gluing_sequence_tree(g: Graph, sequence) -> AssemblyTree:
     components currently containing u and v under a new internal node.
     """
     parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     node: list[AssemblyTree] = [AssemblyTree.leaf(v) for v in range(g.n)]
     for u, v in sequence:
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             raise InputError("gluing sequence edge joins an already-joined component")
         merged = AssemblyTree(node[ru].label | node[rv].label, (node[ru], node[rv]))
         parent[ru] = rv
         node[rv] = merged
-    root = node[find(0)]
+    root = node[_find(parent, 0)]
     if root.label != g.full_mask:
         raise InputError("gluing sequence does not span the graph")
     return root
 
 
-def trees_from_gluing_sequences(g: Graph, cap: int = SMALL_ENUM_CAP) -> set[CanonicalCode]:
+def trees_from_gluing_sequences(g: Graph) -> set[CanonicalCode]:
     """Deduplicated assembly trees from every edge ordering of every
     spanning tree; independently reproduces enumerate_edge_rule."""
-    _check_countable(g, cap, "trees_from_gluing_sequences")
+    _check_enumerable(g, "trees_from_gluing_sequences")
     seen: set[CanonicalCode] = set()
     for tree_edges in spanning_trees(g):
         for order in permutations(tree_edges):
@@ -278,17 +383,10 @@ def _connected_parts_partitions(adj, mask: int):
     if mask == 0:
         yield ()
         return
-    low = mask & -mask
-    rest = mask ^ low
-    s = rest
-    while True:
-        part = low | s
+    for part in _anchored_parts(mask):
         if _connected_mask(adj, part):
             for others in _connected_parts_partitions(adj, mask ^ part):
                 yield (part,) + others
-        if s == 0:
-            break
-        s = (s - 1) & rest
 
 
 def _connected_trees_by_subset(g: Graph) -> dict[int, tuple[AssemblyTree, ...]]:
@@ -317,21 +415,23 @@ def _connected_trees_by_subset(g: Graph) -> dict[int, tuple[AssemblyTree, ...]]:
     return memo
 
 
-def enumerate_connected_rule_trees(g: Graph, cap: int = SMALL_ENUM_CAP) -> tuple[AssemblyTree, ...]:
+def enumerate_connected_rule_trees(g: Graph) -> tuple[AssemblyTree, ...]:
     """All distinct connected-rule assembly trees (children partition the
     parent label; each part induces a connected subgraph)."""
-    _check_countable(g, cap, "enumerate_connected_rule")
+    _check_enumerable(g, "enumerate_connected_rule")
     return _connected_trees_by_subset(g)[g.full_mask]
 
 
-def enumerate_connected_rule(g: Graph, cap: int = SMALL_ENUM_CAP) -> set[CanonicalCode]:
-    return {t.canonical_code() for t in enumerate_connected_rule_trees(g, cap)}
+def enumerate_connected_rule(g: Graph) -> set[CanonicalCode]:
+    return {t.canonical_code() for t in enumerate_connected_rule_trees(g)}
 
 
-def count_connected_rule(g: Graph, cap: int = SMALL_ENUM_CAP) -> int:
-    """Number of distinct connected-rule assembly trees, by canonical
-    enumeration over set partitions into connected parts."""
-    return len(enumerate_connected_rule(g, cap))
+def count_connected_rule(g: Graph) -> int:
+    """Number of distinct connected-rule assembly trees: a(U) sums
+    a(S)·P(U\\S) over connected parts S holding U's lowest vertex, where P
+    counts the partitions of the rest into connected parts, weighted by
+    their trees."""
+    return _count_trees(g, True, "count_connected_rule")
 
 
 def closed_form(family_name: str, n: int) -> int:

@@ -77,6 +77,28 @@ def test_cap_override_via_env(capsys, monkeypatch):
     assert code == 1 and "cap" in err
 
 
+def test_count_complete_22_runs_on_the_twin_quotient(capsys):
+    from asmtree import closed_form
+
+    code, out, err = run_cli(capsys, "count", "--family", "complete", "--n", "22")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"count": str(closed_form("complete", 22))}
+
+
+def test_count_twin_free_over_cap_exit_1(capsys):
+    code, out, err = run_cli(capsys, "count", "--family", "path", "--n", "25")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "cap" in err
+
+
+def test_count_connected_rule_k12(capsys):
+    code, out, err = run_cli(
+        capsys, "count", "--family", "complete", "--n", "12", "--rule", "connected"
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"count": "188666182784"}  # OEIS A000311
+
+
 def test_unknown_flag_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["count", "--family", "path", "--n", "4", "--frobnicate"])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,15 +10,19 @@ from asmtree import (
     ComputationRefused,
     DisconnectedGraph,
     Graph,
+    HSpec,
     InputError,
+    build_h_graph,
     closed_form,
     count_connected_rule,
     count_edge_rule,
+    count_from_egf,
     enumerate_connected_rule,
     enumerate_edge_rule,
     enumerate_edge_rule_trees,
     family,
     gluing_sequence_tree,
+    hgraph_egf,
     relabel,
     spanning_trees,
     trees_from_gluing_sequences,
@@ -256,15 +261,17 @@ def test_closed_form_rejects():
 
 
 def test_subset_dp_closures_are_freed_on_return():
-    # the memoizing closures refer to themselves; left as a cycle they keep
-    # their memo alive until the cyclic collector runs
+    # a memoizing closure refers to itself; left as a cycle it keeps its
+    # memo alive until the cyclic collector runs. The counting core keeps
+    # its tables in locals, so they must be gone on return as well.
     import gc
+    import tracemalloc
     from types import FunctionType
 
     from asmtree import count_connected_rule, enumerate_edge_rule
 
     def leftover():
-        owners = ("count_edge_rule.", "_edge_trees_by_subset.", "_connected_trees_by_subset.")
+        owners = ("_count_trees.", "_edge_trees_by_subset.", "_connected_trees_by_subset.")
         return [
             o for o in gc.get_objects()
             if isinstance(o, FunctionType) and o.__qualname__.startswith(owners)
@@ -277,5 +284,109 @@ def test_subset_dp_closures_are_freed_on_return():
         assert len(enumerate_edge_rule(family("path", [4]))) == 5
         assert count_connected_rule(family("path", [4])) == 11
         assert leftover() == []
+        tracemalloc.start()
+        try:
+            assert count_edge_rule(family("cycle", [11])) == closed_form("cycle", 11)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak > 16_384 and retained < 1_024  # 2048 states, 8 bytes each
     finally:
         gc.enable()
+
+
+def _connected_graphs(n: int):
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        g = Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+        if g.is_connected():
+            yield g
+
+
+def test_core_matches_enumeration_on_every_small_graph():
+    # every labelled connected graph on at most 5 vertices (772 graphs)
+    seen = 0
+    for n in range(1, 6):
+        for g in _connected_graphs(n):
+            assert count_edge_rule(g) == len(enumerate_edge_rule(g)), g
+            connected = count_connected_rule(g)
+            assert connected == len(enumerate_connected_rule(g)) == count_connected_rule_dp(g), g
+            seen += 1
+    assert seen == 772
+
+
+SMALL_TEMPLATES = [
+    Graph(1),
+    Graph(2, [(0, 1)]),
+    Graph(3, [(0, 1), (1, 2)]),
+    Graph(3, [(0, 1), (1, 2), (0, 2)]),
+]
+
+
+def test_core_matches_independent_routes_on_small_blowups():
+    # every blow-up of a connected template on at most 3 vertices, every
+    # phi, multiplicities 1-3 (up to 9 vertices). The template EGF and the
+    # partition DP reach every cell; the tree sets are enumerated up to 6
+    # vertices, since K_9 alone has 2027025 edge-rule trees.
+    seen = enumerated = 0
+    for base in SMALL_TEMPLATES:
+        for phi in itertools.product((0, 1), repeat=base.n):
+            for mult in itertools.product((1, 2, 3), repeat=base.n):
+                spec = HSpec(base, phi, mult)
+                g = build_h_graph(spec)
+                if not g.is_connected():
+                    continue
+                edge = count_edge_rule(g)
+                connected = count_connected_rule(g)
+                assert edge == count_from_egf(hgraph_egf(spec, mult), mult), spec
+                assert connected == count_connected_rule_dp(g), spec
+                if g.n <= 6:
+                    assert edge == len(enumerate_edge_rule(g)), spec
+                    assert connected == len(enumerate_connected_rule(g)), spec
+                    enumerated += 1
+                seen += 1
+    assert (seen, enumerated) == (472, 312)
+
+
+BIPARTITE = HSpec(family("complete", [2]), (0, 0))
+TRIPARTITE = HSpec(family("complete", [3]), (0, 0, 0))
+
+
+def test_core_pins_on_22_to_24_vertices():
+    # each graph has 22-24 vertices; the template EGF, the closed form and
+    # OEIS A000311 (total partitions of a 12-set) are independent routes
+    k12 = family("complete_multipartite", [12, 12])
+    assert count_edge_rule(k12) == count_from_egf(hgraph_egf(BIPARTITE, (12, 12)), (12, 12))
+    k888 = family("complete_multipartite", [8, 8, 8])
+    assert count_edge_rule(k888) == count_from_egf(
+        hgraph_egf(TRIPARTITE, (8, 8, 8)), (8, 8, 8)
+    )
+    assert count_edge_rule(family("complete", [22])) == closed_form("complete", 22)
+    assert count_connected_rule(family("complete", [12])) == 188666182784
+
+
+def test_core_is_invariant_when_twins_are_not_contiguous():
+    # the path template with clique bits on both leaves, multiplicities
+    # (4, 5, 4): relabelling scatters each twin class over the vertex order
+    g = build_h_graph(HSpec(family("path", [3]), (1, 0, 1), (4, 5, 4)))
+    rng = random.Random(2024)
+    for _ in range(6):
+        h = relabel(g, random_permutation(rng, g.n))
+        assert count_edge_rule(h) == 74313487800
+
+
+def test_work_guard_is_keyed_to_the_twin_quotient(monkeypatch):
+    # a twin-free graph costs 3 per vertex, so it is refused as before
+    with pytest.raises(CapExceeded, match="cap"):
+        count_edge_rule(family("path", [25]))
+    with pytest.raises(CapExceeded, match="cap"):
+        count_connected_rule(family("cycle", [25]))
+    # a class of k twins costs C(k + 2, 2): K_5 costs 21 <= 3^4
+    monkeypatch.setenv("ASMTREE_MAX_SUBSET_BITS", "4")
+    assert count_edge_rule(family("complete", [5])) == closed_form("complete", 5)
+    assert count_connected_rule(family("complete", [5])) == 236
+    with pytest.raises(CapExceeded):  # two classes of 3: C(5, 2)^2 = 100 > 81
+        count_edge_rule(family("complete_multipartite", [3, 3]))
+    # a huge cap admits everything at once; 3^cap is never computed
+    monkeypatch.setenv("ASMTREE_MAX_SUBSET_BITS", str(10**12))
+    assert count_edge_rule(family("path", [6])) == 42
