@@ -29,19 +29,24 @@ from __future__ import annotations
 
 import os
 from itertools import combinations, permutations, product
-from math import comb, factorial, prod
+from math import comb, factorial, log, prod
 
 from .errors import CapExceeded, ComputationRefused, DisconnectedGraph, InputError
 from .graphs import Graph, _connected_mask, relabel
 
 SMALL_ENUM_CAP = 9
 DEFAULT_SUBSET_CAP = 24
+# the connected rule fills P on every state, connected or not, so it pays
+# its whole split estimate even on a sparse graph: 3^16 is about 3 s
+CONNECTED_SUBSET_CAP = 16
 _CAP_ENV = "ASMTREE_MAX_SUBSET_BITS"
 
 
 def subset_cap() -> int:
-    """Current counting cap in bits: the counters refuse a graph whose split
-    estimate exceeds 3^cap. Overridable via ASMTREE_MAX_SUBSET_BITS."""
+    """Current counting cap in bits: count_edge_rule refuses a graph whose
+    split estimate exceeds 3^cap, count_connected_rule one whose estimate
+    exceeds 3^min(cap, CONNECTED_SUBSET_CAP). Overridable via
+    ASMTREE_MAX_SUBSET_BITS."""
     raw = os.environ.get(_CAP_ENV)
     if raw is None:
         return DEFAULT_SUBSET_CAP
@@ -204,11 +209,17 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> int:
     _check_countable(g, what)
     adj, ns, blocks = _twin_layout(g)
     cap = subset_cap()
+    if connected_rule:
+        cap = min(cap, CONNECTED_SUBSET_CAP)
     # C(k + 2, 2) <= 3^k, so no estimate exceeds 3^n and a cap of n or more
     # admits every graph without raising 3 to a huge power
     estimate = 3**ns * prod(comb(k + 2, 2) for _, k in blocks)
     if cap < g.n and estimate > 3**cap:
-        raise CapExceeded(f"{what}: split estimate {estimate} exceeds the cap 3^{cap}")
+        # the estimate can have thousands of digits: report its exponent
+        raise CapExceeded(
+            f"{what}: {g.n} vertices in {ns + len(blocks)} twin classes need about "
+            f"3^{log(estimate, 3):.1f} splits, over the cap 3^{cap}"
+        )
     width = 1 << ns
     a: dict[int, list[int]] = {}  # block part -> row indexed by single-vertex bits
     x = {} if connected_rule else a

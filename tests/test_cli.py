@@ -91,6 +91,14 @@ def test_count_twin_free_over_cap_exit_1(capsys):
     assert err.count("\n") == 1 and "cap" in err
 
 
+def test_count_huge_twin_free_graph_exit_1(capsys):
+    # its split estimate 3^10000 has over 4300 digits: the message must not
+    # print it
+    code, out, err = run_cli(capsys, "count", "--family", "path", "--n", "10000")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "cap" in err and len(err) < 200
+
+
 def test_count_connected_rule_k12(capsys):
     code, out, err = run_cli(
         capsys, "count", "--family", "complete", "--n", "12", "--rule", "connected"

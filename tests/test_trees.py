@@ -390,3 +390,15 @@ def test_work_guard_is_keyed_to_the_twin_quotient(monkeypatch):
     # a huge cap admits everything at once; 3^cap is never computed
     monkeypatch.setenv("ASMTREE_MAX_SUBSET_BITS", str(10**12))
     assert count_edge_rule(family("path", [6])) == 42
+
+
+def test_connected_rule_cap_counts_every_state(monkeypatch):
+    # the connected rule fills P on disconnected states too, so a sparse
+    # twin-free graph costs it the whole estimate: its cap stays at 16
+    monkeypatch.setenv("ASMTREE_MAX_SUBSET_BITS", str(10**12))
+    with pytest.raises(CapExceeded, match=r"cap 3\^16"):
+        count_connected_rule(family("path", [17]))
+    assert count_edge_rule(family("path", [17])) == closed_form("path", 17)
+    monkeypatch.setenv("ASMTREE_MAX_SUBSET_BITS", "24")
+    with pytest.raises(CapExceeded, match=r"cap 3\^16"):
+        count_connected_rule(family("cycle", [20]))
