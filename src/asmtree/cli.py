@@ -201,9 +201,8 @@ def _cmd_asymptotics(args) -> int:
     initial = _parse_rational_list(args.init)
     if args.n_max < 8:
         raise InputError("--n-max must be at least 8")
-    lam = asy.estimate_lambda(rec, initial, args.n_max)
     data = asy.log_sequence(rec, initial, args.n_max)
-    model = asy.fit_model(data, lam)
+    model = asy.fit_model(data, asy._lambda_from(data))
     _emit(model.to_json_obj())
     return 0
 

@@ -2,6 +2,8 @@
 
 import bisect
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -116,3 +118,50 @@ def random_permutation(rng: random.Random, n: int) -> list[int]:
     perm = list(range(n))
     rng.shuffle(perm)
     return perm
+
+
+def _row_to_int(row) -> list[int]:
+    scale = lcm(*(c.denominator for c in row)) if row else 1
+    return [int(c * scale) for c in row]
+
+
+def bareiss_nullspace(rows, ncols: int) -> list[list[Fraction]]:
+    """Reference for `recurrences._kernel`: basis of the rational nullspace
+    via fraction-free (Bareiss) elimination, vector k equal to 1 at the k-th
+    free column and 0 at the other free columns."""
+    m = [_row_to_int(r) for r in rows]
+    nrows = len(m)
+    pivot_cols: list[int] = []
+    prev = 1
+    r = 0
+    for col in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][col]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r][col]
+        for i in range(r + 1, nrows):
+            mi = m[i]
+            f = mi[col]
+            if f or prev != 1:
+                for j in range(col, ncols):
+                    mi[j] = (piv * mi[j] - f * m[r][j]) // prev
+        pivot_cols.append(col)
+        prev = piv
+        r += 1
+        if r == nrows:
+            break
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    basis = []
+    for fc in free_cols:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i in range(len(pivot_cols) - 1, -1, -1):
+            pc = pivot_cols[i]
+            acc = Fraction(0)
+            for j in range(pc + 1, ncols):
+                if m[i][j] and vec[j]:
+                    acc += m[i][j] * vec[j]
+            vec[pc] = -acc / m[i][pc]
+        basis.append(vec)
+    return basis

@@ -126,3 +126,24 @@ def test_log_sequence_rejects_sign_flips():
 def test_estimate_lambda_input_validation():
     with pytest.raises(InputError):
         log_sequence(builtin("a"), [0, 1], 2)
+
+
+def test_iteration_budget_refuses_before_the_warmup(monkeypatch):
+    from asmtree import asymptotics
+
+    def unreachable(*_):
+        raise AssertionError("iteration started")
+
+    monkeypatch.setattr(asymptotics, "extend", unreachable)
+    c = builtin("c")
+    for rec, init, n_max in [
+        (c, [0, 3, 84, 4935], 10**9),  # over the step budget and the logs limit
+        (c, [0, 3, 84, 4935], asymptotics.MAX_LOG_TERMS),  # over the step budget
+        (CATALAN, [1], asymptotics.MAX_LOG_TERMS + 1),  # few steps, too many logs
+    ]:
+        with pytest.raises(ComputationRefused):
+            log_sequence(rec, init, n_max)
+        with pytest.raises(ComputationRefused):
+            estimate_lambda(rec, init, n_max)
+    # n_max 10^5 (acceptance criterion 8) stays admitted for every builtin
+    assert 10**5 * sum(d + 1 for d in c.degrees()) <= asymptotics.ITERATION_WORK_BUDGET

@@ -1,7 +1,10 @@
 import json
+import time
+from fractions import Fraction as F
 
 import pytest
 
+from asmtree import builtin
 from asmtree.cli import main
 
 
@@ -333,3 +336,36 @@ def test_verify_rec_rejects_non_integer_fields(capsys, tmp_path, rec):
 def test_count_rejects_bools(capsys, graph):
     code, out, err = run_cli(capsys, "count", "--graph", graph)
     assert code == 2 and out == "" and err.count("\n") == 1
+
+
+def test_asymptotics_iterates_once(capsys, monkeypatch):
+    from asmtree import asymptotics
+
+    calls = []
+    real = asymptotics.log_sequence
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(asymptotics, "log_sequence", counted)
+    code, out, _ = run_cli(
+        capsys, "asymptotics", "--rec", "builtin:b", "--init", "0,1,5/2", "--n-max", "4000"
+    )
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["lambda"] == asymptotics.estimate_lambda(
+        builtin("b"), [0, 1, F(5, 2)], 4000
+    )
+
+
+def test_over_budget_runs_exit_1_at_once(capsys, tmp_path):
+    seq = _write_seq(tmp_path, [str(n * n + 1) for n in range(2000)])
+    for argv in [
+        ("guess-rec", "--seq", seq, "--max-order", "10", "--max-degree", "150"),
+        ("asymptotics", "--rec", "builtin:c", "--init", "0,3,84,4935", "--n-max", "1000000000"),
+    ]:
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("refused:") and err.count("\n") == 1

@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
+from conftest import bareiss_nullspace
 
 from asmtree import (
+    ComputationRefused,
     HSpec,
     InputError,
     LeadingCoefficientZero,
@@ -17,6 +21,7 @@ from asmtree import (
     same_extension,
     verify,
 )
+from asmtree import recurrences
 
 MIXED = HSpec(family("complete", [2]), (1, 0))
 BIPARTITE = HSpec(family("complete", [2]), (0, 0))
@@ -192,3 +197,118 @@ def test_builtin_a_growth_ratio_monotone():
 def test_unknown_builtin():
     with pytest.raises(InputError):
         builtin("z")
+
+
+P61 = (1 << 61) - 1  # the first prime of the modular kernel
+
+
+def _planted(rng, ncols, dim, bits):
+    """Integer rows (ncols - dim + 2 of them, like a guess cell) whose kernel
+    is spanned by `dim` random integer vectors."""
+    planted = [[rng.randint(-(1 << 60), 1 << 60) for _ in range(ncols)] for _ in range(dim)]
+    complement = bareiss_nullspace(planted, ncols) if dim else [
+        [F(int(i == j)) for j in range(ncols)] for i in range(ncols)
+    ]
+    ints = [[int(c * lcm(*(x.denominator for x in v))) for c in v] for v in complement]
+    rows = []
+    for _ in range(ncols - dim + 2):
+        coeffs = [rng.randint(-(1 << bits), 1 << bits) for _ in ints]
+        rows.append([sum(c * w[j] for c, w in zip(coeffs, ints)) for j in range(ncols)])
+    return rows
+
+
+@pytest.fixture
+def primes_used(monkeypatch):
+    """Indices of the primes the kernel asks for; more than 20 fails the
+    test instead of letting a kernel that never settles hang it."""
+    used = []
+    real = recurrences._prime
+
+    def counted(k):
+        assert k < 20, "the kernel did not settle within 20 primes"
+        used.append(k)
+        return real(k)
+
+    monkeypatch.setattr(recurrences, "_prime", counted)
+    return used
+
+
+def test_kernel_matches_bareiss_on_planted_kernels(primes_used):
+    rng = random.Random(20261018)
+    for trial in range(24):
+        ncols, dim = rng.randint(3, 9), trial % 4
+        bits = rng.choice([8, 64, 200])
+        rows = _planted(rng, ncols, dim, bits)
+        got = recurrences._kernel(rows, ncols)
+        assert got == bareiss_nullspace(rows, ncols)
+        assert len(got) == dim
+    assert max(primes_used) >= 2  # some kernels took several primes
+
+
+def test_kernel_with_a_rank_deficient_first_prime(primes_used):
+    # rank 3 over Q, rank 2 modulo 2^61 - 1
+    rows = [[1, 2, 3], [2, 4, 6 + P61], [1, 1, 1]]
+    pivots, basis = recurrences._kernel_mod(rows, 3, P61)
+    assert len(pivots) == 2 and basis
+    assert recurrences._kernel(rows, 3) == bareiss_nullspace(rows, 3) == []
+    # the same rank drop with a kernel left over Q: the profile is replaced
+    rows = rows[:2]
+    assert recurrences._kernel_mod(rows, 3, P61)[0] == (0,)
+    assert recurrences._kernel(rows, 3) == bareiss_nullspace(rows, 3) == [[-2, 1, 0]]
+    # equal rank, later pivot modulo 2^61 - 1: the lexicographically smaller wins
+    rows = [[P61, 1]]
+    assert recurrences._kernel_mod(rows, 2, P61)[0] == (1,)
+    assert recurrences._kernel(rows, 2) == bareiss_nullspace(rows, 2) == [[F(-1, P61), 1]]
+
+
+def test_kernel_entries_needing_several_primes(primes_used):
+    a, b = 3**80, (1 << 130) + 1  # -b/a is far beyond one prime's sqrt(p/2)
+    rows = [[a, b, 0], [0, 7, -5]]
+    got = recurrences._kernel(rows, 3)
+    assert got == bareiss_nullspace(rows, 3) == [[F(-5 * b, 7 * a), F(5, 7), 1]]
+    assert primes_used == [0, 1, 2, 3, 4]  # M > 2 (5b)^2, about 2^266, takes five
+
+
+def _reference_guess(monkeypatch, seq, order, degree):
+    with monkeypatch.context() as m:
+        m.setattr(recurrences, "_kernel", bareiss_nullspace)
+        return guess(seq, order, degree)
+
+
+def _random_recurrence_terms(seed):
+    rng = random.Random(seed)
+    order, degree = rng.randint(1, 3), rng.randint(0, 3)
+    bits = rng.choice([4, 30, 60, 120])
+    polys = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(degree + 1)] for _ in range(order)]
+    polys.append([rng.randint(1, 1 << bits) for _ in range(degree + 1)])  # no zero at n >= 0
+    initial = [F(rng.randint(-50, 50), rng.randint(1, 5)) for _ in range(order)]
+    upto = (order + 1) * (degree + 1) + 2 * order + 5 + rng.randint(0, 4)
+    return extend(PRecurrence(polys, 0), initial, upto), order, degree
+
+
+def test_guess_equals_the_bareiss_reference(monkeypatch):
+    cases = [
+        (catalan_terms(25), 2, 3),
+        (extend(builtin("a"), [0, 1], 24), 2, 3),
+        (extend(builtin("b"), [0, 1, F(5, 2)], 24), 2, 3),
+        (extend(builtin("c"), [0, 3, 84, 4935], 79), 3, 11),
+    ] + [_random_recurrence_terms(seed) for seed in range(40)]
+    for seq, order, degree in cases:
+        got = guess(seq, order, degree)
+        assert got is not None
+        assert got == _reference_guess(monkeypatch, seq, order, degree)
+    assert guess(cases[3][0], 3, 11) == builtin("c").normalized()
+
+
+def test_guess_refuses_over_budget_before_any_elimination(monkeypatch):
+    def unreachable(*_):
+        raise AssertionError("elimination started")
+
+    monkeypatch.setattr(recurrences, "_kernel", unreachable)
+    with pytest.raises(ComputationRefused):
+        guess([F(1)] * 2000, 10, 150)
+    with pytest.raises(ComputationRefused):
+        guess([F(1)] * 10, 10**9, 10**9)  # before the term count
+    monkeypatch.undo()
+    # the tripartite search (3, 11) is well inside the budget
+    assert recurrences.GUESS_WORK_BUDGET > 10 * 640016
