@@ -49,7 +49,7 @@ def main():
     b = b_egf(2, 1, 2, 8)
     from math import factorial
 
-    print("   ", [int(b.coeff(n) * factorial(n)) for n in range(1, 9)])
+    print("   ", [int(b[n] * factorial(n)) for n in range(1, 9)])
 
     print()
     print("== a mixed template: independent side joined to a clique side ==")
@@ -58,7 +58,7 @@ def main():
     print("  counts at equal block sizes:",
           [count_from_egf(M, (n, n)) for n in range(1, 6)])
     print("  diagonal coefficients:",
-          [format_rational(c) for c in diagonal(M).coeffs[:6]])
+          [format_rational(c) for c in diagonal(M)[:6]])
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ from .graphs import (
     HSpec,
     build_h_graph,
     family,
-    from_edge_list,
     graph_from_json,
     graph_to_json,
     hspec_from_json,
@@ -50,14 +49,12 @@ from .recurrences import (
     verify,
 )
 from .series import (
-    Series1,
     TruncatedSeries,
     b_egf,
     count_from_egf,
     diag_formula_easyex,
     diagonal,
     hgraph_egf,
-    mul,
     sqrt1,
 )
 from .trees import (
@@ -72,7 +69,6 @@ from .trees import (
     enumerate_edge_rule_trees,
     gluing_sequence_tree,
     spanning_trees,
-    subset_cap,
     trees_from_gluing_sequences,
 )
 

@@ -136,23 +136,24 @@ def _checkpoints(lo: int, hi: int) -> tuple[int, int, int]:
     return n1, n2, n3
 
 
-def estimate_lambda(rec: PRecurrence, initial, n_max: int, accelerate: bool = True) -> float:
+def estimate_lambda(rec: PRecurrence, initial, n_max: int) -> float:
     """Exponential growth rate from term ratios at n_max.
 
-    With accelerate=True the ratios at n_max/4, n_max/2 and n_max are
-    extrapolated to 1/n = 0 by quadratic Lagrange interpolation, removing
-    the 1/n and 1/n^2 components of the ratio expansion.
+    The ratios at n_max/4, n_max/2 and n_max are extrapolated to 1/n = 0 by
+    quadratic Lagrange interpolation, removing the 1/n and 1/n^2
+    components of the ratio expansion. A window too short for that gives
+    the raw ratio at n_max.
     """
-    return _lambda_from(log_sequence(rec, initial, n_max), accelerate)
+    return _lambda_from(log_sequence(rec, initial, n_max))
 
 
-def _lambda_from(data: LogSequence, accelerate: bool = True) -> float:
+def _lambda_from(data: LogSequence) -> float:
     lo = data.start + 1
 
     def ratio(n: int) -> float:
         return math.exp(data.log_at(n) - data.log_at(n - 1))
 
-    if not accelerate or data.n_max < lo + 16:
+    if data.n_max < lo + 16:
         return ratio(data.n_max)
     n1, n2, n3 = _checkpoints(lo, data.n_max)
     xs = [1.0 / n1, 1.0 / n2, 1.0 / n3]
@@ -170,7 +171,7 @@ def _lambda_from(data: LogSequence, accelerate: bool = True) -> float:
 DEFAULT_THETAS = tuple(k / 2 for k in range(-8, 3))
 
 
-def fit_model(data: LogSequence, lambda_: float, theta_candidates=None) -> GrowthModel:
+def fit_model(data: LogSequence, lambda_: float) -> GrowthModel:
     """Select theta from the candidate grid and fit c0, c1, c2.
 
     For each candidate, v(n) = ln f(n) - n ln lambda - theta ln n must
@@ -181,9 +182,6 @@ def fit_model(data: LogSequence, lambda_: float, theta_candidates=None) -> Growt
     """
     if lambda_ <= 0:
         raise InputError("lambda must be positive")
-    thetas = DEFAULT_THETAS if theta_candidates is None else tuple(theta_candidates)
-    if not thetas:
-        raise InputError("need at least one theta candidate")
     log_lambda = math.log(lambda_)
     n1, n2, n3 = _checkpoints(max(data.start, 1) + 1, data.n_max)
 
@@ -191,7 +189,7 @@ def fit_model(data: LogSequence, lambda_: float, theta_candidates=None) -> Growt
         return data.log_at(n) - n * log_lambda - theta * math.log(n)
 
     best = None
-    for theta in thetas:
+    for theta in DEFAULT_THETAS:
         drift = (abs(v(n3, theta) - v(n2, theta)), abs(v(n2, theta) - v(n1, theta)))
         if best is None or drift[0] + drift[1] < best[1][0] + best[1][1]:
             best = (theta, drift)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import InputError
+from .errors import CapExceeded, InputError
 from .rationals import is_int
 
 FAMILY_NAMES = (
@@ -27,6 +27,18 @@ FAMILY_NAMES = (
     "complete_multipartite",
     "caterpillar",
 )
+
+# a Graph keeps one adjacency bitmask per vertex, and the builders list every
+# edge first, so both counts are checked before anything is built
+MAX_VERTICES = 1 << 14
+MAX_EDGES = 10**6
+
+
+def _check_size(n: int, m: int = 0) -> None:
+    if n > MAX_VERTICES:
+        raise CapExceeded(f"{n} vertices exceeds the cap of {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise CapExceeded(f"{m} edges exceeds the cap of {MAX_EDGES}")
 
 
 def _connected_mask(adj, mask: int) -> bool:
@@ -55,6 +67,7 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if not is_int(n) or n < 0:
             raise InputError(f"vertex count must be a non-negative integer, got {n!r}")
+        _check_size(n)
         adj = [0] * n
         for e in edges:
             try:
@@ -115,11 +128,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
-def from_edge_list(n: int, edges) -> Graph:
-    """Graph from an explicit edge list; duplicates collapse, loops rejected."""
-    return Graph(n, edges)
-
-
 def relabel(g: Graph, perm) -> Graph:
     """Image of g under the vertex permutation old -> perm[old]."""
     perm = list(perm)
@@ -176,6 +184,11 @@ def build_h_graph(spec: HSpec) -> Graph:
     for i in range(1, base.n):
         offsets[i] = offsets[i - 1] + mult[i - 1]
     total = offsets[-1] + mult[-1] if base.n else 0
+    _check_size(
+        total,
+        sum(m * (m - 1) // 2 for m, bit in zip(mult, phi) if bit)
+        + sum(mult[i] * mult[j] for i, j in base.edges()),
+    )
     edges = []
     for i in range(base.n):
         if phi[i]:
@@ -205,22 +218,26 @@ def family(name: str, params) -> Graph:
         (n,) = params
         if n < 1:
             raise InputError("path needs n >= 1")
+        _check_size(n, n - 1)
         return Graph(n, [(i, i + 1) for i in range(n - 1)])
     if name == "cycle":
         (n,) = params
         if n < 3:
             raise InputError("cycle needs n >= 3")
+        _check_size(n, n)
         return Graph(n, [(i, (i + 1) % n) for i in range(n)])
     if name == "star":
         (n,) = params
         if n < 1:
             raise InputError("star needs n >= 1 arms")
+        _check_size(n + 1, n)
         return Graph(n + 1, [(0, i) for i in range(1, n + 1)])
     if name == "star2":
         # center 0; mid vertices 1..n (the center-mid edges); tips n+1..2n
         (n,) = params
         if n < 1:
             raise InputError("star2 needs n >= 1 arms")
+        _check_size(2 * n + 1, 2 * n)
         edges = [(0, i) for i in range(1, n + 1)]
         edges += [(i, n + i) for i in range(1, n + 1)]
         return Graph(2 * n + 1, edges)
@@ -228,6 +245,7 @@ def family(name: str, params) -> Graph:
         (n,) = params
         if n < 1:
             raise InputError("complete needs n >= 1")
+        _check_size(n, n * (n - 1) // 2)
         return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     if name == "complete_multipartite":
         if not params:
@@ -241,6 +259,7 @@ def family(name: str, params) -> Graph:
         (n,) = params
         if n < 1:
             raise InputError("caterpillar needs n >= 1")
+        _check_size(2 * n, 2 * n - 1)
         edges = [(i, i + 1) for i in range(n - 1)]
         edges += [(i, n + i) for i in range(n)]
         return Graph(2 * n, edges)

@@ -1,8 +1,9 @@
 """Exact truncated power series and the assembly-tree generating functions.
 
 TruncatedSeries stores a dense window of rational coefficients up to
-per-variable caps; add/mul/sqrt are exact on the window (every retained
-coefficient equals the true coefficient of the infinite series).
+per-variable caps; sums, products and square roots are exact on the window
+(every retained coefficient equals the true coefficient of the infinite
+series).
 
 The exponential generating function counting edge-rule assembly trees of a
 blown-up template (H, phi) is A(x) = 1 - sqrt(R) with
@@ -169,42 +170,6 @@ class TruncatedSeries:
         return [
             {"exp": list(exp), "coeff": format_rational(v)} for exp, v in self.terms()
         ]
-
-
-class Series1:
-    """Univariate truncated series: coefficients 0..cap."""
-
-    __slots__ = ("cap", "coeffs")
-
-    def __init__(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        if not coeffs:
-            raise InputError("Series1 needs at least the constant term")
-        object.__setattr__(self, "cap", len(coeffs) - 1)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Series1 is immutable")
-
-    def coeff(self, n: int) -> Fraction:
-        if not 0 <= n <= self.cap:
-            raise InputError(f"index {n} outside 0..{self.cap}")
-        return self.coeffs[n]
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Series1) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        head = ", ".join(format_rational(c) for c in self.coeffs[:8])
-        return f"Series1([{head}...], cap={self.cap})"
-
-
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Truncated product, exact within the shared caps."""
-    return a * b
 
 
 def sqrt1(f: TruncatedSeries) -> TruncatedSeries:
@@ -502,7 +467,7 @@ def count_from_egf(series: TruncatedSeries, n) -> int:
     return int(c)
 
 
-def b_egf(N: int, M: int, J: int, cap: int) -> Series1:
+def b_egf(N: int, M: int, J: int, cap: int) -> list[Fraction]:
     """EGF totalling tree counts over all vertex assignments to a template
     with N vertices, M edges and J zero-bits:
     1 - sqrt(1 - 2Nx + (2*C(N,2) - 2M + J)*x^2).
@@ -525,17 +490,17 @@ def b_egf(N: int, M: int, J: int, cap: int) -> Series1:
     _check_window_work((cap,), 2)
     table = _sqrt_table(radicand, (cap,))
     fact = _factorials(cap)
-    return Series1([0] + [Fraction(-t, d) for t, d in zip(table[1:], fact[1:])])
+    return [Fraction(0)] + [Fraction(-t, d) for t, d in zip(table[1:], fact[1:])]
 
 
-def diagonal(series: TruncatedSeries) -> Series1:
+def diagonal(series: TruncatedSeries) -> list[Fraction]:
     """Univariate diagonal: coefficient n is the coefficient at equal
     exponents (n, ..., n); requires equal caps."""
     caps = series.caps
     if len(set(caps)) != 1:
         raise InputError(f"diagonal needs equal caps, got {caps}")
     k = len(caps)
-    return Series1([series.coeff((n,) * k) for n in range(caps[0] + 1)])
+    return [series.coeff((n,) * k) for n in range(caps[0] + 1)]
 
 
 def diag_formula_easyex(n: int) -> Fraction:

@@ -11,23 +11,26 @@ supported:
   connected subgraph, and internal nodes have at least two children.
 
 Counts are computed three independent ways for cross-validation: an exact
-convolution over vertex sets, explicit recursive enumeration of canonical
-trees, and bottom-up construction from every edge ordering of every
-spanning tree. Trees compare equal exactly when there is a label-preserving
-isomorphism; canonical codes realize that equality as byte strings.
+convolution over vertex sets, explicit enumeration of canonical trees, and
+bottom-up construction from every edge ordering of every spanning tree.
+Trees compare equal exactly when there is a label-preserving isomorphism;
+canonical codes realize that equality as byte strings.
 
-Both counters are thin wrappers over one convolution core on the twin
-quotient: twins (vertices with equal open or equal closed neighbourhoods)
-are interchangeable, so a count depends only on how many vertices of each
-twin class a set holds, and a blow-up with class sizes k_i has
-prod(k_i + 1) states. Every split is anchored at the lowest vertex of the
-set it splits, so each unordered split is visited once: no sum is
-halved, and there is no parity to check.
+Both rules share one recurrence: a tree of a connected set u joins a tree
+of a connected part s of u with a tree of u - s (edge rule) or with a
+forest of u - s into connected parts (connected rule). Every split is
+anchored at the lowest vertex of the set it splits, so each unordered split
+is visited once: no sum is halved, and there is no parity to check. The
+counters run it as one convolution on the twin quotient: twins (vertices
+with equal open or equal closed neighbourhoods) are interchangeable, so a
+count depends only on how many vertices of each twin class a set holds, and
+a blow-up with class sizes k_i has prod(k_i + 1) states. The enumerators
+run it on explicit trees, over every vertex set. The gluing route stays
+independent of anchored splits.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import combinations, permutations, product
 from math import comb, factorial, log, prod
 
@@ -35,25 +38,11 @@ from .errors import CapExceeded, ComputationRefused, DisconnectedGraph, InputErr
 from .graphs import Graph, _connected_mask, relabel
 
 SMALL_ENUM_CAP = 9
-DEFAULT_SUBSET_CAP = 24
+# the tree counters refuse a graph whose split estimate exceeds 3^SUBSET_CAP;
 # the connected rule fills P on every state, connected or not, so it pays
 # its whole split estimate even on a sparse graph: 3^16 is about 3 s
+SUBSET_CAP = 24
 CONNECTED_SUBSET_CAP = 16
-_CAP_ENV = "ASMTREE_MAX_SUBSET_BITS"
-
-
-def subset_cap() -> int:
-    """Current counting cap in bits: count_edge_rule refuses a graph whose
-    split estimate exceeds 3^cap, count_connected_rule one whose estimate
-    exceeds 3^min(cap, CONNECTED_SUBSET_CAP). Overridable via
-    ASMTREE_MAX_SUBSET_BITS."""
-    raw = os.environ.get(_CAP_ENV)
-    if raw is None:
-        return DEFAULT_SUBSET_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"{_CAP_ENV} must be an integer, got {raw!r}") from exc
 
 
 def _check_countable(g: Graph, what: str) -> None:
@@ -208,9 +197,7 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> int:
     """
     _check_countable(g, what)
     adj, ns, blocks = _twin_layout(g)
-    cap = subset_cap()
-    if connected_rule:
-        cap = min(cap, CONNECTED_SUBSET_CAP)
+    cap = min(SUBSET_CAP, CONNECTED_SUBSET_CAP) if connected_rule else SUBSET_CAP
     # C(k + 2, 2) <= 3^k, so no estimate exceeds 3^n and a cap of n or more
     # admits every graph without raising 3 to a huge power
     estimate = 3**ns * prod(comb(k + 2, 2) for _, k in blocks)
@@ -287,40 +274,44 @@ def _anchored_parts(mask: int):
         t = (t - 1) & rest
 
 
-def _edge_trees_by_subset(g: Graph) -> dict[int, tuple[AssemblyTree, ...]]:
-    adj = g.adj
-    memo: dict[int, tuple[AssemblyTree, ...]] = {}
+def _trees_by_subset(g: Graph, connected_rule: bool) -> dict[int, list[AssemblyTree]]:
+    """Explicit trees of every vertex set under either rule: the counting
+    core's recurrence, run on trees instead of numbers.
 
-    def trees(u: int) -> tuple[AssemblyTree, ...]:
-        got = memo.get(u)
-        if got is not None:
-            return got
+    A tree of a connected set u with two or more vertices joins a tree of
+    an anchored part s != u with one entry of X(u - s). The edge rule takes
+    X = the trees of u - s, the connected rule X = the forests of u - s
+    into connected parts, F(u) = the trees of u as one-part forests plus
+    the joins above. A disconnected set has no trees. Every submask is a
+    smaller number, so one ascending pass fills both tables.
+    """
+    trees: dict[int, list[AssemblyTree]] = {}
+    x: dict[int, list[tuple[AssemblyTree, ...]]] = {}
+    for u in range(1, g.full_mask + 1):
+        conn = _connected_mask(g.adj, u)
         if u & (u - 1) == 0:
-            out: tuple[AssemblyTree, ...] = (AssemblyTree(u),)
-        elif not _connected_mask(adj, u):
-            out = ()
+            joins = []
+            trees[u] = [AssemblyTree(u)]
+        elif conn or connected_rule:
+            # each part holds u's lowest vertex, so each split appears once
+            joins = [
+                (t,) + f
+                for s in _anchored_parts(u)
+                if s != u
+                for t in trees[s]
+                for f in x[u ^ s]
+            ]
+            trees[u] = [AssemblyTree(u, c) for c in joins] if conn else []
         else:
-            # each part holds the lowest vertex, so each unordered split
-            # appears exactly once
-            out = tuple(
-                AssemblyTree(u, (t1, t2))
-                for part in _anchored_parts(u)
-                if part != u
-                for t1 in trees(part)
-                for t2 in trees(u ^ part)
-            )
-        memo[u] = out
-        return out
-
-    trees(g.full_mask)
-    del trees  # breaks the trees -> closure -> trees cycle; the caller owns memo
-    return memo
+            joins = trees[u] = []
+        x[u] = [(t,) for t in trees[u]] + (joins if connected_rule else [])
+    return trees
 
 
 def enumerate_edge_rule_trees(g: Graph) -> tuple[AssemblyTree, ...]:
     """All distinct edge-rule assembly trees as explicit objects."""
     _check_enumerable(g, "enumerate_edge_rule")
-    return _edge_trees_by_subset(g)[g.full_mask]
+    return tuple(_trees_by_subset(g, False)[g.full_mask])
 
 
 def enumerate_edge_rule(g: Graph) -> set[CanonicalCode]:
@@ -388,49 +379,11 @@ def trees_from_gluing_sequences(g: Graph) -> set[CanonicalCode]:
     return seen
 
 
-def _connected_parts_partitions(adj, mask: int):
-    """Yield partitions of `mask` into connected parts, lowest-vertex part
-    first (so parts arrive sorted by their minimum vertex)."""
-    if mask == 0:
-        yield ()
-        return
-    for part in _anchored_parts(mask):
-        if _connected_mask(adj, part):
-            for others in _connected_parts_partitions(adj, mask ^ part):
-                yield (part,) + others
-
-
-def _connected_trees_by_subset(g: Graph) -> dict[int, tuple[AssemblyTree, ...]]:
-    adj = g.adj
-    memo: dict[int, tuple[AssemblyTree, ...]] = {}
-
-    def trees(u: int) -> tuple[AssemblyTree, ...]:
-        got = memo.get(u)
-        if got is not None:
-            return got
-        if u & (u - 1) == 0:
-            out: tuple[AssemblyTree, ...] = (AssemblyTree(u),)
-        else:
-            acc = []
-            for parts in _connected_parts_partitions(adj, u):
-                if len(parts) < 2:
-                    continue
-                for combo in product(*(trees(p) for p in parts)):
-                    acc.append(AssemblyTree(u, combo))
-            out = tuple(acc)
-        memo[u] = out
-        return out
-
-    trees(g.full_mask)
-    del trees  # breaks the trees -> closure -> trees cycle; the caller owns memo
-    return memo
-
-
 def enumerate_connected_rule_trees(g: Graph) -> tuple[AssemblyTree, ...]:
     """All distinct connected-rule assembly trees (children partition the
     parent label; each part induces a connected subgraph)."""
     _check_enumerable(g, "enumerate_connected_rule")
-    return _connected_trees_by_subset(g)[g.full_mask]
+    return tuple(_trees_by_subset(g, True)[g.full_mask])
 
 
 def enumerate_connected_rule(g: Graph) -> set[CanonicalCode]:

@@ -34,13 +34,6 @@ def test_lambda_catalan():
     assert abs(est - 4.0) < 1e-4
 
 
-def test_lambda_unaccelerated_is_the_raw_ratio():
-    est = estimate_lambda(builtin("a"), [0, 1], 5000, accelerate=False)
-    # raw ratio still carries its theta/n drift
-    assert abs(est - 13.5) < 0.02
-    assert abs(est - 13.5) > 1e-6
-
-
 def test_lambda_stable_under_doubling():
     e1 = estimate_lambda(builtin("a"), [0, 1], 10000)
     e2 = estimate_lambda(builtin("a"), [0, 1], 20000)

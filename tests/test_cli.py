@@ -74,8 +74,10 @@ def test_count_requires_one_input_source(capsys):
     assert code == 2
 
 
-def test_cap_override_via_env(capsys, monkeypatch):
-    monkeypatch.setenv("ASMTREE_MAX_SUBSET_BITS", "4")
+def test_cap_override_via_module_constant(capsys, monkeypatch):
+    from asmtree import trees
+
+    monkeypatch.setattr(trees, "SUBSET_CAP", 4)
     code, out, err = run_cli(capsys, "count", "--family", "path", "--n", "6")
     assert code == 1 and "cap" in err
 
@@ -100,6 +102,24 @@ def test_count_huge_twin_free_graph_exit_1(capsys):
     code, out, err = run_cli(capsys, "count", "--family", "path", "--n", "10000")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "cap" in err and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ["--graph", '{"n": 1000000000000000000000000000000, "edges": []}'],
+        ["--family", "path", "--n", "1000000"],
+        ["--family", "complete", "--n", "5000"],
+    ],
+    ids=["json-n-1e30", "path-1e6", "complete-5000"],
+)
+def test_count_oversize_graph_exit_1_before_building(capsys, source):
+    # refused from the vertex or edge count, before any edge list is built
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", *source)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "exceeds the cap" in err
 
 
 def test_count_connected_rule_k12(capsys):

@@ -9,7 +9,6 @@ from asmtree import (
     InputError,
     build_h_graph,
     family,
-    from_edge_list,
     graph_from_json,
     graph_to_json,
     hspec_from_json,
@@ -19,30 +18,30 @@ from asmtree import (
 
 
 def test_from_edge_list_triangle():
-    g = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert g.n == 3 and g.edge_count == 3
     assert g == family("complete", [3])
 
 
 def test_from_edge_list_single_vertex():
-    g = from_edge_list(1, [])
+    g = Graph(1, [])
     assert g.n == 1 and g.edge_count == 0 and g.is_connected()
 
 
 def test_from_edge_list_c4():
-    g = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert g == family("cycle", [4])
 
 
 def test_from_edge_list_collapses_duplicates():
-    g = from_edge_list(3, [(0, 1), (1, 0), (0, 1)])
+    g = Graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count == 1
 
 
 @pytest.mark.parametrize("edges", [[(0, 3)], [(-1, 0)], [(2, 2)]])
 def test_from_edge_list_rejects_bad_edges(edges):
     with pytest.raises(InputError):
-        from_edge_list(3, edges)
+        Graph(3, edges)
 
 
 def test_graph_is_immutable():

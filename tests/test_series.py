@@ -11,7 +11,6 @@ from asmtree import (
     Graph,
     HSpec,
     InputError,
-    Series1,
     TruncatedSeries,
     b_egf,
     build_h_graph,
@@ -21,7 +20,6 @@ from asmtree import (
     diagonal,
     family,
     hgraph_egf,
-    mul,
     sqrt1,
 )
 from asmtree import series
@@ -37,7 +35,7 @@ def test_mul_basic():
     caps = (3,)
     one_plus = TruncatedSeries.from_terms(caps, {(0,): 1, (1,): 1})
     one_minus = TruncatedSeries.from_terms(caps, {(0,): 1, (1,): -1})
-    prod = mul(one_plus, one_minus)
+    prod = one_plus * one_minus
     assert prod == TruncatedSeries.from_terms(caps, {(0,): 1, (2,): -1})
 
 
@@ -54,7 +52,7 @@ def test_mul_cap_mismatch():
     a = TruncatedSeries.one((2,))
     b = TruncatedSeries.one((3,))
     with pytest.raises(InputError):
-        mul(a, b)
+        a * b
 
 
 def test_geometric_powers_give_central_binomial():
@@ -300,7 +298,7 @@ def test_count_from_egf_rejects_non_integer():
 def test_b_egf_complete_graphs():
     b = b_egf(1, 0, 0, 8)
     for n in range(1, 9):
-        count = b.coeff(n) * factorial(n)
+        count = b[n] * factorial(n)
         assert count == count_edge_rule(family("complete", [n]))
 
 
@@ -317,7 +315,7 @@ def test_b_egf_counts_labeled_bipartitions():
         want = sum(
             comb(n, k) * count_from_egf(A, (k, n - k)) for k in range(n + 1)
         )
-        assert b.coeff(n) * factorial(n) == want
+        assert b[n] * factorial(n) == want
 
 
 def test_b_egf_equals_substituted_multivariate():
@@ -332,7 +330,7 @@ def test_b_egf_equals_substituted_multivariate():
         b = b_egf(N, M, J, cap)
         for n in range(cap + 1):
             want = sum(v for exp, v in A.terms() if sum(exp) == n)
-            assert b.coeff(n) == want
+            assert b[n] == want
 
 
 def test_b_egf_validation():
@@ -362,7 +360,7 @@ def test_diagonal_of_tripartite():
 def test_diag_formula_matches_series():
     d = diagonal(hgraph_egf(MIXED, (12, 12)))
     for n in range(1, 13):
-        assert diag_formula_easyex(n) == d.coeff(n)
+        assert diag_formula_easyex(n) == d[n]
 
 
 def test_diag_formula_head():
@@ -376,14 +374,7 @@ def test_diagonal_coefficient_times_weights_counts_graphs():
     # coefficient x weights equals the tree count of the built graph
     d = diagonal(hgraph_egf(MIXED, (3, 3)))
     g = build_h_graph(HSpec(MIXED.base, MIXED.phi, (2, 2)))
-    assert d.coeff(2) * factorial(2) ** 2 == count_edge_rule(g) == 12
-
-
-def test_series1_basics():
-    s = Series1([0, 1, F(5, 2)])
-    assert s.cap == 2 and s.coeff(2) == F(5, 2)
-    with pytest.raises(InputError):
-        s.coeff(3)
+    assert d[2] * factorial(2) ** 2 == count_edge_rule(g) == 12
 
 
 def test_series_json_dump_shape():

@@ -18,15 +18,18 @@ from asmtree import (
     count_edge_rule,
     count_from_egf,
     enumerate_connected_rule,
+    enumerate_connected_rule_trees,
     enumerate_edge_rule,
     enumerate_edge_rule_trees,
     family,
     gluing_sequence_tree,
     hgraph_egf,
+    is_connected_subset,
     relabel,
     spanning_trees,
     trees_from_gluing_sequences,
 )
+from asmtree import trees
 
 KNOWN_EDGE_COUNTS = [
     ("path", [4], 5),
@@ -57,14 +60,12 @@ def test_count_edge_rule_rejections():
         count_edge_rule(Graph(0))
 
 
-def test_subset_cap_env_override(monkeypatch):
-    monkeypatch.setenv("ASMTREE_MAX_SUBSET_BITS", "4")
+def test_subset_cap_override(monkeypatch):
+    # the cap is read at each call, so a patched constant takes effect
+    monkeypatch.setattr(trees, "SUBSET_CAP", 4)
     with pytest.raises(CapExceeded):
         count_edge_rule(family("path", [5]))
     assert count_edge_rule(family("path", [4])) == 5
-    monkeypatch.setenv("ASMTREE_MAX_SUBSET_BITS", "junk")
-    with pytest.raises(InputError):
-        count_edge_rule(family("path", [4]))
 
 
 def test_enumerate_sizes():
@@ -151,6 +152,25 @@ def test_edge_rule_trees_have_crossing_edges_forming_spanning_tree():
             # the chosen edges connect all vertices: spanning tree
             sub = Graph(g.n, sorted(chosen))
             assert sub.is_connected()
+
+
+def test_connected_rule_trees_partition_into_connected_parts():
+    # every labelled connected graph on at most 5 vertices (772 graphs);
+    # with the count check against the partition DP this pins the whole set
+    for n in range(1, 6):
+        for g in _connected_graphs(n):
+            found = enumerate_connected_rule_trees(g)
+            for t in found:
+                assert t.label == g.full_mask
+                for node in _internal_nodes(t):
+                    assert len(node.children) >= 2
+                    union = 0
+                    for c in node.children:
+                        assert union & c.label == 0
+                        union |= c.label
+                        assert is_connected_subset(g, c.label)
+                    assert union == node.label
+            assert len({t.canonical_code() for t in found}) == len(found), g
 
 
 def test_codes_are_deterministic_and_label_preserving():
@@ -271,7 +291,7 @@ def test_subset_dp_closures_are_freed_on_return():
     from asmtree import count_connected_rule, enumerate_edge_rule
 
     def leftover():
-        owners = ("_count_trees.", "_edge_trees_by_subset.", "_connected_trees_by_subset.")
+        owners = ("_count_trees.", "_trees_by_subset.")
         return [
             o for o in gc.get_objects()
             if isinstance(o, FunctionType) and o.__qualname__.startswith(owners)
@@ -382,23 +402,23 @@ def test_work_guard_is_keyed_to_the_twin_quotient(monkeypatch):
     with pytest.raises(CapExceeded, match="cap"):
         count_connected_rule(family("cycle", [25]))
     # a class of k twins costs C(k + 2, 2): K_5 costs 21 <= 3^4
-    monkeypatch.setenv("ASMTREE_MAX_SUBSET_BITS", "4")
+    monkeypatch.setattr(trees, "SUBSET_CAP", 4)
     assert count_edge_rule(family("complete", [5])) == closed_form("complete", 5)
     assert count_connected_rule(family("complete", [5])) == 236
     with pytest.raises(CapExceeded):  # two classes of 3: C(5, 2)^2 = 100 > 81
         count_edge_rule(family("complete_multipartite", [3, 3]))
     # a huge cap admits everything at once; 3^cap is never computed
-    monkeypatch.setenv("ASMTREE_MAX_SUBSET_BITS", str(10**12))
+    monkeypatch.setattr(trees, "SUBSET_CAP", 10**12)
     assert count_edge_rule(family("path", [6])) == 42
 
 
 def test_connected_rule_cap_counts_every_state(monkeypatch):
     # the connected rule fills P on disconnected states too, so a sparse
     # twin-free graph costs it the whole estimate: its cap stays at 16
-    monkeypatch.setenv("ASMTREE_MAX_SUBSET_BITS", str(10**12))
+    monkeypatch.setattr(trees, "SUBSET_CAP", 10**12)
     with pytest.raises(CapExceeded, match=r"cap 3\^16"):
         count_connected_rule(family("path", [17]))
     assert count_edge_rule(family("path", [17])) == closed_form("path", 17)
-    monkeypatch.setenv("ASMTREE_MAX_SUBSET_BITS", "24")
+    monkeypatch.setattr(trees, "SUBSET_CAP", 24)
     with pytest.raises(CapExceeded, match=r"cap 3\^16"):
         count_connected_rule(family("cycle", [20]))
