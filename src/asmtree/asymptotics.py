@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ComputationRefused, InputError, LeadingCoefficientZero, NoConvergentExponent
-from .recurrences import PRecurrence, extend
+from .recurrences import PRecurrence, _poly_eval, extend
 
 _RESCALE_AT = 1e120
 
@@ -67,13 +67,6 @@ class GrowthModel:
         }
 
 
-def _ipoly_eval(coeffs: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def log_sequence(rec: PRecurrence, initial, n_max: int) -> LogSequence:
     """Iterate the recurrence to n_max, recording log magnitudes.
 
@@ -107,12 +100,12 @@ def log_sequence(rec: PRecurrence, initial, n_max: int) -> LogSequence:
     n = len(warm) - L
     while len(logs) + start <= n_max:
         top = n + L
-        lead = _ipoly_eval(ipolys[L], top)
+        lead = _poly_eval(ipolys[L], top)
         if lead == 0:
             raise LeadingCoefficientZero(top)
         acc = 0.0
         for i in range(L):
-            acc += float(_ipoly_eval(ipolys[i], n + i)) * window[i]
+            acc += float(_poly_eval(ipolys[i], n + i)) * window[i]
         new = -acc / float(lead)
         if new <= 0.0:
             raise ComputationRefused(f"sequence stopped being positive at index {top}")

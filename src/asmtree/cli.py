@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from . import asymptotics as asy
@@ -143,6 +144,15 @@ def _cmd_table(args) -> int:
     top = args.max
     spec = graphs.HSpec(graphs.family("complete", [2]), (0, 0))
     egf = series.hgraph_egf(spec, (top, top))
+    # the subset DP on K_{m,n} runs C(m+2,2)*C(n+2,2) twin-quotient splits,
+    # each multiplying counts of w 64-bit words, w read off the series count
+    work = 0
+    for m in range(1, top + 1):
+        for n in range(m, top + 1):
+            w = (series.count_from_egf(egf, (m, n)).bit_length() + 63) // 64
+            work += comb(m + 2, 2) * comb(n + 2, 2) * w * w
+    if work > series.EGF_WORK_BUDGET:
+        raise ComputationRefused(f"table --max {top} needs about {work:.2g} subset-DP steps")
     rows = []
     discrepancies = []
     for m in range(1, top + 1):

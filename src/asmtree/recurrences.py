@@ -24,7 +24,7 @@ from .rationals import format_rational, is_int, parse_rational
 
 
 def _poly_eval(coeffs, x):
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc

@@ -1,9 +1,10 @@
 """Exact truncated power series and the assembly-tree generating functions.
 
-TruncatedSeries stores a dense window of rational coefficients up to
-per-variable caps; sums, products and square roots are exact on the window
-(every retained coefficient equals the true coefficient of the infinite
-series).
+TruncatedSeries stores a dense window of an exponential power series up to
+per-variable caps: the cell of exponent f holds the coefficient times
+prod_i f_i!, the tree count at f for a template EGF, and reading a cell
+divides by the factorials. Sums, products and square roots are exact on
+the window (every retained coefficient is that of the infinite series).
 
 The exponential generating function counting edge-rule assembly trees of a
 blown-up template (H, phi) is A(x) = 1 - sqrt(R) with
@@ -22,17 +23,17 @@ The template EGF is computed in integers. With T[f] = (prod f_i!)*g[f] for
 g = sqrt(R) and the scaled radicand (prod m_i!)*R[m], the first-order
 identity 2*R*dg/dx_p = (dR/dx_p)*g becomes an integer recurrence with one
 exact division per coefficient and O(#terms of R) work per coefficient
-(_sqrt_table); -T[f] is the tree count at f. hgraph_egf and b_egf turn the
-table into Fractions once, at the end. Before any work, a window's cost is
-estimated and refused over EGF_WORK_BUDGET. sqrt1, the general coefficient
-recurrence from g^2 = f, is kept as a reference.
+(_sqrt_table); -T[f] is the tree count at f, and hgraph_egf stores it as
+it is. Before any work, a window's cost is estimated and refused over
+EGF_WORK_BUDGET. sqrt1, the general coefficient recurrence from g^2 = f,
+is kept as a reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, prod
 
 from .errors import ComputationRefused, DisconnectedGraph, EngineError, InputError
 from .graphs import Graph, HSpec, is_connected_subset
@@ -44,6 +45,11 @@ def _check_caps(caps: tuple) -> None:
         raise InputError("caps must be a non-empty tuple of non-negative integers")
 
 
+def _check_coefficients(values) -> None:
+    if not set(map(type, values)) <= {int, Fraction}:
+        raise InputError("series coefficients must be ints or Fractions")
+
+
 def _window_strides(caps: tuple) -> list[int]:
     """Flat-index step of each coordinate in the row-major window."""
     strides = [1] * len(caps)
@@ -52,8 +58,16 @@ def _window_strides(caps: tuple) -> list[int]:
     return strides
 
 
+def _factorials(top: int) -> list[int]:
+    fact = [1] * (top + 1)
+    for k in range(2, top + 1):
+        fact[k] = fact[k - 1] * k
+    return fact
+
+
 class TruncatedSeries:
-    """Multivariate power series truncated to componentwise caps."""
+    """Multivariate exponential power series truncated to componentwise
+    caps; the cell of exponent f stores the coefficient times prod_i f_i!."""
 
     __slots__ = ("caps", "_strides", "_coeffs")
 
@@ -66,6 +80,7 @@ class TruncatedSeries:
             coeffs = [0] * size
         elif len(coeffs) != size:
             raise InputError("dense coefficient block has the wrong size")
+        _check_coefficients(coeffs)
         object.__setattr__(self, "caps", caps)
         object.__setattr__(self, "_strides", tuple(strides))
         object.__setattr__(self, "_coeffs", coeffs)
@@ -75,9 +90,13 @@ class TruncatedSeries:
 
     @classmethod
     def from_terms(cls, caps, terms: dict) -> "TruncatedSeries":
+        """The series with the given {exponent: coefficient} terms."""
+        _check_coefficients(terms.values())
         s = cls(caps)
+        fact = _factorials(max(s.caps))
         for exp, val in terms.items():
-            s._coeffs[s._index(tuple(exp))] = Fraction(val)
+            exp = tuple(exp)
+            s._coeffs[s._index(exp)] = val * prod(fact[e] for e in exp)
         return s
 
     @classmethod
@@ -99,18 +118,24 @@ class TruncatedSeries:
         return idx
 
     def coeff(self, exp) -> Fraction:
-        return Fraction(self._coeffs[self._index(tuple(exp))])
+        exp = tuple(exp)
+        v = self._coeffs[self._index(exp)]
+        fact = _factorials(max(exp))
+        return Fraction(v, prod(fact[e] for e in exp))
 
     def exponents(self):
         """All window exponents in lexicographic order."""
         return product(*(range(c + 1) for c in self.caps))
 
+    def _cells(self) -> list:
+        """Nonzero (exponent, stored value) pairs in lexicographic order."""
+        return [(exp, v) for exp, v in zip(self.exponents(), self._coeffs) if v]
+
     def terms(self):
         """Nonzero (exponent, coefficient) pairs in lexicographic order."""
-        for exp in self.exponents():
-            v = self._coeffs[self._index(exp)]
-            if v:
-                yield exp, Fraction(v)
+        fact = _factorials(max(self.caps))
+        for exp, v in self._cells():
+            yield exp, Fraction(v, prod(fact[e] for e in exp))
 
     def _require_compatible(self, other: "TruncatedSeries") -> None:
         if not isinstance(other, TruncatedSeries):
@@ -138,19 +163,17 @@ class TruncatedSeries:
         return TruncatedSeries(self.caps, [a * factor for a in self._coeffs])
 
     def __mul__(self, other):
+        """EGF product: in stored values, the cell at h is the sum over
+        f + g = h of prod_i C(h_i, f_i) * self[f] * other[g]."""
         self._require_compatible(other)
         caps = self.caps
         out = [0] * len(self._coeffs)
-        mine = list(self.terms())
-        theirs = list(other.terms())
-        for ea, va in mine:
+        theirs = other._cells()
+        for ea, va in self._cells():
             for eb, vb in theirs:
                 exp = tuple(a + b for a, b in zip(ea, eb))
                 if all(e <= c for e, c in zip(exp, caps)):
-                    idx = 0
-                    for e, s in zip(exp, self._strides):
-                        idx += e * s
-                    out[idx] += va * vb
+                    out[self._index(exp)] += prod(map(comb, exp, ea)) * va * vb
         return TruncatedSeries(caps, out)
 
     def __eq__(self, other) -> bool:
@@ -174,31 +197,23 @@ class TruncatedSeries:
 
 def sqrt1(f: TruncatedSeries) -> TruncatedSeries:
     """Square root with constant term 1, by the g^2 = f coefficient
-    recurrence in lexicographic order (no floating point, no Newton)."""
-    zero = (0,) * f.nvars
-    if f.coeff(zero) != 1:
+    recurrence of the EGF product in lexicographic order (no floating
+    point, no Newton). It solves by direct convolution, independently of
+    the first-order identity of _sqrt_table."""
+    if f._coeffs[0] != 1:
         raise InputError("sqrt1 needs constant term 1")
-    caps = f.caps
-    g = TruncatedSeries(caps)
+    g = TruncatedSeries(f.caps)
     gc = g._coeffs
-    fc = f._coeffs
-    strides = g._strides
-    gc[0] = Fraction(1)
-    for exp in f.exponents():
-        if all(e == 0 for e in exp):
+    gc[0] = 1
+    for idx, exp in enumerate(f.exponents()):
+        if not idx:
             continue
-        idx = sum(e * s for e, s in zip(exp, strides))
         acc = 0
         for d in product(*(range(e + 1) for e in exp)):
-            di = sum(e * s for e, s in zip(d, strides))
-            if di == 0 or di == idx:
-                continue
-            v = gc[di]
-            if v:
-                w = gc[idx - di]
-                if w:
-                    acc += v * w
-        gc[idx] = (fc[idx] - acc) / 2
+            di = sum(e * s for e, s in zip(d, g._strides))
+            if 0 < di < idx:
+                acc += prod(map(comb, exp, d)) * gc[di] * gc[idx - di]
+        gc[idx] = Fraction(f._coeffs[idx] - acc) / 2
     return g
 
 
@@ -211,10 +226,11 @@ EGF_WORK_BUDGET = 50_000_000
 
 def _check_window_work(caps, terms: int) -> None:
     """Refuse a window whose estimated steps exceed EGF_WORK_BUDGET. Per
-    cell: one per radicand term of the recurrence, 20 for the Fraction
-    conversion, and words^2/128 for the exact division and gcd of the
-    cell's coefficient, of at most about top*log2(top) bits (words of 64
-    bits), top = sum(caps)."""
+    cell: one per radicand term of the recurrence, 20 for dividing the
+    cell by its factorials when it is read (`asmtree series` reads every
+    cell), and words^2/128 for the exact division and gcd of the cell's
+    coefficient, of at most about top*log2(top) bits (words of 64 bits),
+    top = sum(caps)."""
     top = sum(caps)
     words = top * top.bit_length() // 64
     work = prod(c + 1 for c in caps) * (terms + 20 + words * words // 128)
@@ -361,15 +377,13 @@ def _block_counts(spec: HSpec, caps, block: int) -> dict:
         Graph(len(verts), [(pos[u], pos[v]) for u, v in base.edges() if u in pos and v in pos]),
         tuple(phi[v] for v in verts),
     )
-    sub_caps = tuple(caps[v] for v in verts)
-    table = _template_table(sub, sub_caps)
-    strides = _window_strides(sub_caps)
     out = {}
-    for sub_exp in product(*(range(1, c + 1) for c in sub_caps)):
-        e = [0] * base.n
-        for v, k in zip(verts, sub_exp):
-            e[v] = k
-        out[tuple(e)] = -table[sum(k * s for k, s in zip(sub_exp, strides))]
+    for sub_exp, count in hgraph_egf(sub, tuple(caps[v] for v in verts))._cells():
+        if all(sub_exp):
+            e = [0] * base.n
+            for v, k in zip(verts, sub_exp):
+                e[v] = k
+            out[tuple(e)] = count
     return out
 
 
@@ -405,10 +419,20 @@ def _radicand_terms(spec: HSpec, caps, pairs) -> dict:
     return terms
 
 
-def _template_table(spec: HSpec, caps) -> list[int]:
-    """The _sqrt_table of the exact template radicand; -T[f] is the tree
-    count of the blow-up at f for every f != 0. The window's work is
-    checked against EGF_WORK_BUDGET before any block EGF is computed."""
+def hgraph_egf(spec: HSpec, caps) -> TruncatedSeries:
+    """EGF of edge-rule assembly-tree counts over all multiplicities of a
+    connected template: 1 - sqrt(R) with the exact radicand R of
+    _radicand_terms. Its cells store the integer tree count of every
+    connected blow-up in the window (count_from_egf reads them), and 0 on
+    every disconnected one.
+
+    When H is complete multipartite and every clique bit sits on a vertex
+    adjacent to all others, R is the quadratic polynomial
+    1 - 2*sum x_i + sum_{phi(i)=0} x_i^2 + 2*sum_{{i,j} not in E(H)} x_i x_j.
+    Elsewhere R carries the EGFs of sub-templates, computed recursively.
+    Raises ComputationRefused when the window is over EGF_WORK_BUDGET,
+    before any sub-template EGF is computed.
+    """
     if not spec.base.is_connected():
         raise DisconnectedGraph("hgraph_egf needs a connected template graph")
     caps = tuple(caps)
@@ -421,47 +445,18 @@ def _template_table(spec: HSpec, caps) -> list[int]:
         _block_size(spec, caps, u) * _block_size(spec, caps, v) for u, v in pairs
     )
     _check_window_work(caps, terms)
-    return _sqrt_table(_radicand_terms(spec, caps, pairs), caps)
-
-
-def _factorials(top: int) -> list[int]:
-    fact = [1] * (top + 1)
-    for k in range(2, top + 1):
-        fact[k] = fact[k - 1] * k
-    return fact
-
-
-def hgraph_egf(spec: HSpec, caps) -> TruncatedSeries:
-    """EGF of edge-rule assembly-tree counts over all multiplicities of a
-    connected template: 1 - sqrt(R) with the exact radicand R of
-    _radicand_terms, so count_from_egf gives the tree count of every
-    connected blow-up in the window, and 0 on every disconnected one.
-
-    When H is complete multipartite and every clique bit sits on a vertex
-    adjacent to all others, R is the quadratic polynomial
-    1 - 2*sum x_i + sum_{phi(i)=0} x_i^2 + 2*sum_{{i,j} not in E(H)} x_i x_j.
-    Elsewhere R carries the EGFs of sub-templates, computed recursively.
-    Raises ComputationRefused when the window is over EGF_WORK_BUDGET.
-    """
-    table = _template_table(spec, caps)
-    caps = tuple(caps)
-    fact = _factorials(max(caps))
-    width = caps[-1] + 1
-    for row, f in enumerate(product(*(range(c + 1) for c in caps[:-1]))):
-        pf = prod(fact[e] for e in f)
-        cells = slice(row * width, (row + 1) * width)
-        table[cells] = [Fraction(-t, pf * d) if t else 0 for t, d in zip(table[cells], fact)]
+    table = _sqrt_table(_radicand_terms(spec, caps, pairs), caps)
+    for i, t in enumerate(table):  # in place: the window can be large
+        table[i] = -t
     table[0] = 0
     return TruncatedSeries(caps, table)
 
 
 def count_from_egf(series: TruncatedSeries, n) -> int:
-    """Tree count at multiplicity vector n: coefficient times n!; the
-    result must be a non-negative integer or the engine is broken."""
+    """Tree count at multiplicity vector n: the stored cell, coefficient
+    times n!; it must be a non-negative integer or the engine is broken."""
     n = tuple(n)
-    c = series.coeff(n)
-    for k in n:
-        c *= factorial(k)
+    c = series._coeffs[series._index(n)]
     if c.denominator != 1 or c < 0:
         raise EngineError(f"non-integer or negative count {c} at {n}")
     return int(c)
@@ -500,7 +495,9 @@ def diagonal(series: TruncatedSeries) -> list[Fraction]:
     if len(set(caps)) != 1:
         raise InputError(f"diagonal needs equal caps, got {caps}")
     k = len(caps)
-    return [series.coeff((n,) * k) for n in range(caps[0] + 1)]
+    fact = _factorials(caps[0])
+    step = sum(series._strides)  # flat-index step from (n,...,n) to (n+1,...,n+1)
+    return [Fraction(series._coeffs[n * step], fact[n] ** k) for n in range(caps[0] + 1)]
 
 
 def diag_formula_easyex(n: int) -> Fraction:

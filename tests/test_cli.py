@@ -214,6 +214,20 @@ def test_table_max_4_reports_discrepancy(capsys):
     assert disc["previously_reported"] == ["46400", "23200"]
 
 
+def test_table_over_budget_exit_1_before_any_dp(capsys, monkeypatch):
+    from asmtree import trees
+
+    def unreachable(*_):
+        raise AssertionError("cross-check DP started")
+
+    monkeypatch.setattr(trees, "count_edge_rule", unreachable)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "table", "--family", "bipartite", "--max", "100")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("refused:") and err.count("\n") == 1
+
+
 def test_table_rejects_other_families(capsys):
     code, _, err = run_cli(capsys, "table", "--family", "tripartite", "--max", "3")
     assert code == 2 and err != ""

@@ -109,6 +109,29 @@ def test_sqrt1_squares_back(caps):
         assert g * g == f
 
 
+def test_sqrt1_is_exact_on_int_series():
+    f = TruncatedSeries((30,), [1, -3] + [0] * 29)
+    g = sqrt1(f)
+    assert {type(v) for v in g._coeffs} <= {int, F}
+    assert g * g == f
+
+
+@pytest.mark.parametrize("bad", [0.5, "1", True, None])
+def test_series_rejects_non_rational_coefficients(bad):
+    with pytest.raises(InputError):
+        TruncatedSeries((2,), [1, bad, 0])
+    with pytest.raises(InputError):
+        TruncatedSeries.from_terms((2,), {(1,): bad})
+
+
+def test_from_terms_and_coeff_round_trip_through_factorial_weights():
+    terms = {(2, 3): F(5, 7), (4, 0): -3, (3, 2): F(1, 12), (1, 1): 2}
+    s = TruncatedSeries.from_terms((4, 3), terms)
+    assert dict(s.terms()) == terms
+    assert all(s.coeff(exp) == v for exp, v in terms.items())
+    assert s._coeffs[s._index((2, 3))] == F(5, 7) * 2 * 6  # coefficient times 2! 3!
+
+
 def test_bipartite_egf_printed_coefficients():
     A = hgraph_egf(BIPARTITE, (8, 8))
     expected = {
@@ -279,6 +302,32 @@ def test_egf_matches_oracle_on_clique_safe_templates():
             if g.n == 0 or not g.is_connected():
                 continue
             assert count_from_egf(egf, exp) == dp(g), (spec.phi, exp)
+
+
+PATH_ENDS = HSpec(Graph(3, [(0, 1), (1, 2)]), (1, 0, 1))  # sub-template EGFs in R
+
+
+def test_hgraph_egf_builds_no_fraction(monkeypatch):
+    def no_fraction(*_):
+        raise AssertionError("hgraph_egf built a Fraction")
+
+    monkeypatch.setattr(series, "Fraction", no_fraction)
+    hgraph_egf(TRIPARTITE, (5, 5, 5))
+    hgraph_egf(PATH_ENDS, (4, 4, 4))
+
+
+def test_hgraph_egf_cells_are_the_tree_counts():
+    for spec, caps in [(TRIPARTITE, (4, 4, 4)), (PATH_ENDS, (3, 4, 3)), (MIXED, (7, 5))]:
+        egf = hgraph_egf(spec, caps)
+        for exp, v in zip(egf.exponents(), egf._coeffs):
+            assert type(v) is int, exp
+            assert v == count_from_egf(egf, exp) == egf.coeff(exp) * prod(map(factorial, exp))
+
+
+def test_diagonal_reads_the_equal_exponent_cells():
+    for spec, caps in [(MIXED, (9, 9)), (TRIPARTITE, (6, 6, 6))]:
+        egf = hgraph_egf(spec, caps)
+        assert diagonal(egf) == [egf.coeff((n,) * len(caps)) for n in range(caps[0] + 1)]
 
 
 def test_count_from_egf_values():
