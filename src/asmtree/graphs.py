@@ -271,7 +271,7 @@ def is_connected_subset(g: Graph, subset: int) -> bool:
 
     The empty set is not connected; singletons are.
     """
-    if not isinstance(subset, int) or subset < 0:
+    if not is_int(subset) or subset < 0:
         raise InputError("subset must be a non-negative bitset integer")
     if subset >> g.n:
         raise InputError("subset contains vertices outside the graph")

@@ -37,11 +37,11 @@ from math import comb, prod
 
 from .errors import ComputationRefused, DisconnectedGraph, EngineError, InputError
 from .graphs import Graph, HSpec, is_connected_subset
-from .rationals import binom_half, format_rational
+from .rationals import binom_half, format_rational, is_int
 
 
 def _check_caps(caps: tuple) -> None:
-    if not caps or any(not isinstance(c, int) or c < 0 for c in caps):
+    if not caps or any(not is_int(c) or c < 0 for c in caps):
         raise InputError("caps must be a non-empty tuple of non-negative integers")
 
 
@@ -112,7 +112,7 @@ class TruncatedSeries:
             raise InputError(f"exponent {exp} has wrong arity")
         idx = 0
         for e, c, s in zip(exp, self.caps, self._strides):
-            if not isinstance(e, int) or e < 0 or e > c:
+            if not is_int(e) or e < 0 or e > c:
                 raise InputError(f"exponent {exp} outside caps {self.caps}")
             idx += e * s
         return idx
@@ -473,13 +473,13 @@ def b_egf(N: int, M: int, J: int, cap: int) -> list[Fraction]:
     counts N, M and J do not determine the total: for the path with clique
     bits on both leaves the x^3 coefficient is 9 here, but 8 in the
     substituted hgraph_egf, which matches the tree counts."""
-    if not (isinstance(N, int) and N >= 1):
+    if not (is_int(N) and N >= 1):
         raise InputError("b_egf needs N >= 1")
-    if not (isinstance(M, int) and 0 <= M <= comb(N, 2)):
+    if not (is_int(M) and 0 <= M <= comb(N, 2)):
         raise InputError(f"b_egf needs 0 <= M <= C({N},2)")
-    if not (isinstance(J, int) and 0 <= J <= N):
+    if not (is_int(J) and 0 <= J <= N):
         raise InputError(f"b_egf needs 0 <= J <= {N}")
-    if not (isinstance(cap, int) and cap >= 0):
+    if not (is_int(cap) and cap >= 0):
         raise InputError("b_egf needs cap >= 0")
     radicand = {(0,): 1, (1,): -2 * N, (2,): 2 * (2 * comb(N, 2) - 2 * M + J)}
     _check_window_work((cap,), 2)
@@ -509,7 +509,7 @@ def diag_formula_easyex(n: int) -> Fraction:
     from 1 - sqrt. The convention is fixed against the series oracle
     (n=1 gives 1, n=2 gives 3).
     """
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise InputError("diag_formula_easyex needs n >= 1")
     total = Fraction(0)
     for m in range((3 * n + 1) // 2, 2 * n + 1):

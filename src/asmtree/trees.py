@@ -20,29 +20,30 @@ Both rules share one recurrence: a tree of a connected set u joins a tree
 of a connected part s of u with a tree of u - s (edge rule) or with a
 forest of u - s into connected parts (connected rule). Every split is
 anchored at the lowest vertex of the set it splits, so each unordered split
-is visited once: no sum is halved, and there is no parity to check. The
-counters run it as one convolution on the twin quotient: twins (vertices
-with equal open or equal closed neighbourhoods) are interchangeable, so a
-count depends only on how many vertices of each twin class a set holds, and
-a blow-up with class sizes k_i has prod(k_i + 1) states. The enumerators
-run it on explicit trees, over every vertex set. The gluing route stays
-independent of anchored splits.
+is visited once. Only connected sets have trees, so the recurrence walks
+connected sets only, and grows the parts of each by MinCut branching, which
+visits only the splits the rule can use. The counters run it on the twin
+quotient: twins (vertices with equal open or equal closed neighbourhoods)
+are interchangeable, so a count depends only on how many vertices of each
+twin class a set holds. One work budget, metered as the walk goes, refuses
+graphs that cost too much. The enumerators run the same walk on explicit
+trees. The gluing route stays independent of anchored splits.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
-from math import comb, factorial, log, prod
+from itertools import accumulate, combinations, permutations, product
+from math import comb, factorial
 
 from .errors import CapExceeded, ComputationRefused, DisconnectedGraph, InputError
-from .graphs import Graph, _connected_mask, relabel
+from .graphs import Graph, relabel
+from .rationals import is_int
 
 SMALL_ENUM_CAP = 9
-# the tree counters refuse a graph whose split estimate exceeds 3^SUBSET_CAP;
-# the connected rule fills P on every state, connected or not, so it pays
-# its whole split estimate even on a sparse graph: 3^16 is about 3 s
-SUBSET_CAP = 24
-CONNECTED_SUBSET_CAP = 16
+# One unit of work is one count that a split multiplies, more for counts of
+# many 64-bit words (see _count_trees). CPython 3.11 on a 2-vCPU virtual
+# machine runs 0.4-1 million units per second, so refusals take under 3 s.
+TREE_WORK_BUDGET = 1_000_000
 
 
 def _check_countable(g: Graph, what: str) -> None:
@@ -149,109 +150,174 @@ def _twin_layout(g: Graph) -> tuple[tuple[int, ...], int, list[tuple[int, int]]]
     perm = [0] * g.n
     for i, v in enumerate(singles + [v for cls in classes for v in cls]):
         perm[v] = i
-    blocks = []
-    offset = len(singles)
-    for cls in classes:
-        blocks.append((offset, len(cls)))
-        offset += len(cls)
-    return relabel(g, perm).adj, len(singles), blocks
+    sizes = [len(cls) for cls in classes]
+    blocks = list(zip(accumulate(sizes, initial=len(singles)), sizes))
+    return (g if perm == sorted(perm) else relabel(g, perm)).adj, len(singles), blocks
 
 
-def _block_splits(blocks, ms, anchored: bool) -> list[tuple[int, int, int]]:
-    """(weight, part, other) for every choice of j_i twins from each block.
+def _neighbours(adj, mask: int) -> int:
+    nb = 0
+    while mask:
+        low = mask & -mask
+        nb |= adj[low.bit_length() - 1]
+        mask ^= low
+    return nb
 
-    A state holds the lowest ms[i] bits of block i; the part takes the
-    lowest j_i of them and the other part the lowest ms[i] - j_i, with weight
-    prod C(ms[i], j_i). When `anchored`, the part holds the state's lowest
-    vertex, which lies in the first nonempty block: its j runs from 1 with
-    weight C(m - 1, j - 1).
+
+def _component(adj, mask: int, goal: int) -> int:
+    """The component of the lowest vertex of `goal` in the graph that `mask`
+    induces, grown only until it covers `goal`."""
+    seen = frontier = goal & -goal
+    while frontier and seen & goal != goal:
+        frontier = _neighbours(adj, frontier) & mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def _components(adj, mask: int):
+    while mask:
+        yield (c := _component(adj, mask, mask))
+        mask ^= c
+
+
+def _grow(adj, anchor: int, whole: int, seconds: int, cut: bool):
+    """Yield (1, part, rest), a split of weight 1, for every connected part
+    of `whole` that holds `anchor` and leaves a nonempty rest, a connected
+    one if `cut`. No part holds a bit of `seconds` without the bit below it.
+
+    Binary branching as in MinCutBranch (Fender and Moerkotte, ICDE 2011):
+    a part grows by one neighbour x at a time and the later branches ban x,
+    so each part is reached once. Under `cut`, when taking x splits the
+    rest, one branch per component that may stay absorbs the others.
     """
-    out = [(1, 0, 0)]
-    for (offset, _), m in zip(blocks, ms):
-        if not m:
-            continue
-        lo = 1 if anchored else 0
-        anchored = False
-        out = [
-            (w * comb(m - lo, j - lo), part | ((1 << j) - 1) << offset,
-             other | ((1 << (m - j)) - 1) << offset)
-            for w, part, other in out
-            for j in range(lo, m + 1)
-        ]
+    stack = [(0, whole, 0, anchor)]  # the anchor is the first neighbour
+    while stack:
+        part, rest, banned, nb = stack.pop()
+        if part:
+            yield 1, part, rest
+        grow = nb & rest & ~banned & ~(seconds & ~(part << 1))
+        while grow:
+            x = grow & -grow
+            grow ^= x
+            left = rest ^ x
+            reach = adj[x.bit_length() - 1]
+            touch = reach & left  # each component of the rest holds one of these
+            if left and (not cut or _component(adj, left, touch) & touch == touch):
+                stack.append((part | x, left, banned, nb | reach))
+            elif left:
+                for c in _components(adj, left):
+                    grown = part | x | left ^ c
+                    # a banned vertex stays in the rest; a second twin without
+                    # its first is skipped, as its mirror split is visited
+                    if not (banned & ~c or grown & seconds & ~(grown << 1)):
+                        stack.append((grown, c, banned, nb | reach | _neighbours(adj, left ^ c)))
+            banned |= x
+
+
+def _splits(adj, u: int, blocks, seconds: int, cut: bool, cache: dict):
+    """The (weight, part, rest) anchored splits of state u, found on its
+    shape: the first two twins of each class in u. A class with its first
+    twin in the part and its second in the rest is shared: j = 1..m-1 of
+    its m twins go to the part, with weight C(m, j), or C(m - 1, j - 1) on
+    the anchor's class. Splits are cached per shape only when the shape is
+    smaller than u, or the cache would hold every split of a twin-free graph.
+    """
+    anchor = u & -u
+    shape = u
+    shared = []
+    for o, k in blocks:
+        m = (u >> o & (1 << k) - 1).bit_count()
+        if m > 1:
+            shape ^= (1 << m) - 4 << o
+            lo = 1 << o == anchor
+            ways = [(comb(m - lo, j - lo), (1 << j) - 1 << o, (1 << m - j) - 1 << o)
+                    for j in range(1, m)]
+            shared.append((1 << o, (1 << m) - 1 << o, ways))
+    if shape != u and shape not in cache:
+        cache[shape] = list(_grow(adj, anchor, shape, seconds, cut))
+    splits = cache[shape] if shape != u else _grow(adj, anchor, u, seconds, cut)
+    return (x for _, p, r in splits for x in _share(p, r, shared)) if shared else splits
+
+
+def _share(part: int, rest: int, shared) -> list[tuple[int, int, int]]:
+    out = [(1, part, rest)]
+    for first, full, ways in shared:
+        if part & first << 1 or not part & first:  # the class is on one side
+            out = [(w, p | full, r) if part & first else (w, p, r | full) for w, p, r in out]
+        else:
+            out = [(w * c, p ^ first | x, r ^ first << 1 | y)
+                   for w, p, r in out for c, x, y in ways]
     return out
+
+
+def _walk(adj, ns: int, blocks, cut: bool):
+    """Yield (u, splits) for every connected state u, after its sub-states:
+    the connected sets of the class quotient, grown from each class over the
+    classes above it, at every twin multiplicity (a lone class of two or
+    more false twins is not connected)."""
+    low = (1 << ns) - 1
+    reps = [*range(ns), *(o for o, _ in blocks)]
+    quotient = [adj[v] & low | sum(1 << ns + b for b, (o, _) in enumerate(blocks)
+                                   if adj[v] >> o & 1) for v in reps]
+    seconds = sum(2 << o for o, _ in blocks)
+    last_first = list(enumerate(blocks))[::-1]
+    cache: dict[int, list] = {}
+    for v in reversed(range(len(reps))):
+        above = (1 << len(reps)) - (1 << v)
+        sets = [q for _, q, _ in _grow(quotient, 1 << v, above, 0, False)]
+        if _component(quotient, above, above) == above:
+            sets.append(above)
+        # a sub-state has a smaller class set, or the same one with no more
+        # twins of each class; the last block varies slowest
+        for q in sorted(sets):
+            tops = [(o, 1 if q == 1 << ns + b and not adj[o] >> o + 1 & 1 else k)
+                    for b, (o, k) in last_first if q >> ns + b & 1]
+            for ms in product(*(range(1, k + 1) for _, k in tops)):
+                u = q & low | sum((1 << m) - 1 << o for (o, _), m in zip(tops, ms))
+                yield u, _splits(adj, u, blocks, seconds, cut, cache)
 
 
 def _count_trees(g: Graph, connected_rule: bool, what: str) -> int:
     """Assembly trees of g under either rule, by one convolution over the
-    twin quotient.
-
-    A state is a vertex set that holds the lowest m_i vertices of each twin
-    block i, so a blow-up has prod(k_i + 1) states; one-vertex classes
-    split by plain submasks, blocks by multiplicity with binomial weights
-    w. Each split s of a state u holds u's lowest vertex (the anchor), so
-    every unordered split is visited once: conv(u, X) = sum w·a(s)·X(u - s)
-    over anchored s != u, and a(u) = conv(u, X), or 0 when u is
-    disconnected. The edge rule takes X = a; the connected rule takes
-    X = P, the weighted count of partitions into connected parts,
-    P(u) = a(u) + conv(u, P).
+    connected states of the twin quotient (vertex sets that hold the lowest
+    m_i vertices of each twin block i): a(u) = sum w·a(s)·X(u - s) over the
+    splits of _splits, where an absent, disconnected state reads as 0. The
+    edge rule takes X = a. The connected rule takes X = P, the weighted
+    partitions into connected parts: the product of P over the components
+    of u - s, with P(c) = a(c) + conv(c, P) = 2·a(c), or 1 on one vertex.
     """
     _check_countable(g, what)
     adj, ns, blocks = _twin_layout(g)
-    cap = min(SUBSET_CAP, CONNECTED_SUBSET_CAP) if connected_rule else SUBSET_CAP
-    # C(k + 2, 2) <= 3^k, so no estimate exceeds 3^n and a cap of n or more
-    # admits every graph without raising 3 to a huge power
-    estimate = 3**ns * prod(comb(k + 2, 2) for _, k in blocks)
-    if cap < g.n and estimate > 3**cap:
-        # the estimate can have thousands of digits: report its exponent
+    classes = ns + len(blocks)
+    need = f"{what}: {g.n} vertices in {classes} twin classes need"
+    # no connected graph on c classes has fewer useful splits than the path
+    if comb(classes + 1, 3) > TREE_WORK_BUDGET:
         raise CapExceeded(
-            f"{what}: {g.n} vertices in {ns + len(blocks)} twin classes need about "
-            f"3^{log(estimate, 3):.1f} splits, over the cap 3^{cap}"
-        )
-    width = 1 << ns
-    a: dict[int, list[int]] = {}  # block part -> row indexed by single-vertex bits
-    x = {} if connected_rule else a
-    # the last block varies slowest, so every sub-state comes first
-    for rev in product(*(range(k + 1) for _, k in reversed(blocks))):
-        ms = rev[::-1]
-        base = sum(((1 << m) - 1) << off for (off, _), m in zip(blocks, ms))
-        splits = _block_splits(blocks, ms, False)
-        a[base] = arow = [0] * width
-        xrow = x[base] = [0] * width if connected_rule else arow
-        for free in range(width):
-            u = base | free
-            if not u:
-                continue
-            conn = _connected_mask(adj, u)
-            if not (conn or connected_rule):
-                continue
-            if free:
-                low = free & -free
-                rest = free ^ low
-                parts = splits
-            else:
-                low = rest = 0
-                parts = _block_splits(blocks, ms, True)
-            # the one split with an empty rest has part u, whose entry is
-            # not written yet, and the empty state is never written: it adds 0
-            total = 0
-            for w, part, other in parts:
-                ap = a[part]
-                xo = x[other]
-                acc = 0
-                t = rest
-                while True:
-                    y = ap[low | t]
-                    if y:
-                        acc += y * xo[rest ^ t]
-                    if not t:
-                        break
-                    t = (t - 1) & rest
-                total += w * acc
-            val = 1 if u & (u - 1) == 0 else total if conn else 0
-            arow[free] = val
-            if connected_rule:
-                xrow[free] = val + total
-    return arow[-1]  # the last state is the whole graph
+            f"{need} C({classes + 1}, 3) splits, over the cap {TREE_WORK_BUDGET:.2g}")
+    a: dict[int, int] = {}
+    work = 0
+    for u, splits in _walk(adj, ns, blocks, not connected_rule):
+        total = count = 0  # count: the counts that the splits multiply
+        for w, s, r in splits:
+            x = a.get(r, 0)
+            if connected_rule and r & r - 1:
+                if x:
+                    x *= 2
+                else:  # a disconnected rest
+                    x = 1
+                    for c in _components(adj, r):
+                        x *= 2 * a[c] if c & c - 1 else 1
+                        count += 1
+            total += w * a.get(s, 0) * x
+            count += 2
+        a[u] = total if u & u - 1 else 1
+        # a unit is one count multiplied, or one word of a stored state; a
+        # count of w words costs w^2/1024 more (the total bounds w), as
+        # big-integer products dominate there
+        work += (count + 1) * (1 + (total.bit_length() >> 6) ** 2 // 1024) + (u.bit_length() >> 6)
+        if work > TREE_WORK_BUDGET:
+            raise CapExceeded(f"{need} over {TREE_WORK_BUDGET:.2g} units of work, the cap")
+    return a[g.full_mask]
 
 
 def count_edge_rule(g: Graph) -> int:
@@ -261,50 +327,24 @@ def count_edge_rule(g: Graph) -> int:
     return _count_trees(g, False, "count_edge_rule")
 
 
-def _anchored_parts(mask: int):
-    """Yield every submask of `mask` that holds its lowest vertex, from
-    `mask` itself down to that vertex alone."""
-    low = mask & -mask
-    rest = mask ^ low
-    t = rest
-    while True:
-        yield low | t
-        if not t:
-            return
-        t = (t - 1) & rest
-
-
 def _trees_by_subset(g: Graph, connected_rule: bool) -> dict[int, list[AssemblyTree]]:
-    """Explicit trees of every vertex set under either rule: the counting
-    core's recurrence, run on trees instead of numbers.
-
-    A tree of a connected set u with two or more vertices joins a tree of
-    an anchored part s != u with one entry of X(u - s). The edge rule takes
-    X = the trees of u - s, the connected rule X = the forests of u - s
-    into connected parts, F(u) = the trees of u as one-part forests plus
-    the joins above. A disconnected set has no trees. Every submask is a
-    smaller number, so one ascending pass fills both tables.
+    """Explicit trees of every connected vertex set under either rule, by
+    the counting core's walk on the plain graph (every class one vertex,
+    every weight 1): a tree of u joins a tree of a part s with a forest of
+    u - s, one from each of its components c. The forests of c are its
+    trees as one-part forests, plus, under the connected rule, its joins.
     """
     trees: dict[int, list[AssemblyTree]] = {}
-    x: dict[int, list[tuple[AssemblyTree, ...]]] = {}
-    for u in range(1, g.full_mask + 1):
-        conn = _connected_mask(g.adj, u)
-        if u & (u - 1) == 0:
-            joins = []
-            trees[u] = [AssemblyTree(u)]
-        elif conn or connected_rule:
-            # each part holds u's lowest vertex, so each split appears once
-            joins = [
-                (t,) + f
-                for s in _anchored_parts(u)
-                if s != u
-                for t in trees[s]
-                for f in x[u ^ s]
-            ]
-            trees[u] = [AssemblyTree(u, c) for c in joins] if conn else []
-        else:
-            joins = trees[u] = []
-        x[u] = [(t,) for t in trees[u]] + (joins if connected_rule else [])
+    forests: dict[int, list[tuple[AssemblyTree, ...]]] = {}
+    for u, splits in _walk(g.adj, g.n, (), not connected_rule):
+        joins = []
+        for _, s, r in splits:
+            fs = [()]
+            for c in _components(g.adj, r):
+                fs = [f + h for f in fs for h in forests[c]]
+            joins += [(t,) + f for t in trees[s] for f in fs]
+        trees[u] = [AssemblyTree(u, j) for j in joins] if u & u - 1 else [AssemblyTree(u)]
+        forests[u] = [(t,) for t in trees[u]] + (joins if connected_rule else [])
     return trees
 
 
@@ -404,7 +444,7 @@ def closed_form(family_name: str, n: int) -> int:
     star: n!; star2: sum_k C(n,k)(2n-k)!/2^(n-k); path: C(2n-2,n-1)/n;
     cycle: C(2n-2,n-1)/2; complete: (2n-2)!/(2^(n-1)(n-1)!).
     """
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise InputError("closed_form needs n >= 1")
     if family_name == "star":
         return factorial(n)

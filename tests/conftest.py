@@ -72,46 +72,30 @@ def battery():
     return edge_battery()
 
 
-def count_connected_rule_dp(g: Graph) -> int:
-    """Independent oracle for the connected rule: weighted partitions into
-    connected parts, computed without building any tree."""
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def trees_of(u: int) -> int:
-        if u.bit_count() == 1:
-            return 1
+def partition_dp(g: Graph, connected_rule: bool) -> int:
+    """Independent oracle for both rules, computed without building any
+    tree, by one pass over every vertex set u in ascending order:
+    conv(u) = sum a(s)·X(u - s) over the connected parts s != u that hold
+    u's lowest vertex, a(u) = conv(u) on a connected u and 0 otherwise, and
+    X = a (edge rule) or X = P, the weighted partitions of a set into
+    connected parts: P(u) = a(u) + conv(u), P(empty) = 1."""
+    size = 1 << g.n
+    conn = [u != 0 and is_connected_subset(g, u) for u in range(size)]
+    a = [0] * size
+    x = [1] + [0] * (size - 1)
+    for u in range(1, size):
         low = u & -u
         rest = u ^ low
         total = 0
-        s = rest
-        while True:
-            part = low | s
-            if part != u and is_connected_subset(g, part):
-                total += trees_of(part) * parts_product(u ^ part)
-            if s == 0:
-                break
-            s = (s - 1) & rest
-        return total
-
-    @lru_cache(maxsize=None)
-    def parts_product(w: int) -> int:
-        if w == 0:
-            return 1
-        low = w & -w
-        rest = w ^ low
-        total = 0
-        s = rest
-        while True:
-            part = low | s
-            if is_connected_subset(g, part):
-                total += trees_of(part) * parts_product(w ^ part)
-            if s == 0:
-                break
-            s = (s - 1) & rest
-        return total
-
-    return trees_of(g.full_mask)
+        t = rest
+        while t:  # parts low | t != u, from u - low down to low | 0
+            t = (t - 1) & rest
+            if conn[low | t]:
+                total += a[low | t] * x[u ^ low ^ t]
+        if conn[u]:
+            a[u] = total if rest else 1
+        x[u] = a[u] + total if connected_rule else a[u]
+    return a[-1]
 
 
 def random_permutation(rng: random.Random, n: int) -> list[int]:

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction as F
 
@@ -77,7 +78,7 @@ def test_count_requires_one_input_source(capsys):
 def test_cap_override_via_module_constant(capsys, monkeypatch):
     from asmtree import trees
 
-    monkeypatch.setattr(trees, "SUBSET_CAP", 4)
+    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 40)  # P_6 costs 91 units
     code, out, err = run_cli(capsys, "count", "--family", "path", "--n", "6")
     assert code == 1 and "cap" in err
 
@@ -90,18 +91,52 @@ def test_count_complete_22_runs_on_the_twin_quotient(capsys):
     assert json.loads(out) == {"count": str(closed_form("complete", 22))}
 
 
-def test_count_twin_free_over_cap_exit_1(capsys):
+def test_count_twin_free_path_25_exit_0(capsys):
+    # its 2,300 useful splits take milliseconds
+    from asmtree import closed_form
+
     code, out, err = run_cli(capsys, "count", "--family", "path", "--n", "25")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"count": str(closed_form("path", 25))}
+
+
+def _dense_twin_free_graph(n: int, seed: int) -> str:
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    adj = [{w for e in edges if v in e for w in e if w != v} for v in range(n)]
+    # no two vertices share their open or their closed neighbourhood
+    assert len({frozenset(a) for a in adj}) == n
+    assert len({frozenset(a | {v}) for v, a in enumerate(adj)}) == n
+    return json.dumps({"n": n, "edges": edges})
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # about 10^9 useful splits of small counts
+        ["--graph", _dense_twin_free_graph(20, 3)],
+        # about 10^6 splits, each multiplying counts of hundreds of words
+        ["--family", "complete", "--n", "1414"],
+    ],
+    ids=["dense_G20", "K1414"],
+)
+def test_count_too_costly_is_stopped_by_the_meter_exit_1(capsys, source):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", *source)
+    assert time.perf_counter() - t0 < 5.0
     assert code == 1 and out == ""
-    assert err.count("\n") == 1 and "cap" in err
+    assert err.count("\n") == 1 and "units of work, the cap" in err
 
 
 def test_count_huge_twin_free_graph_exit_1(capsys):
-    # its split estimate 3^10000 has over 4300 digits: the message must not
-    # print it
+    # a path has the fewest useful splits of any connected graph, C(n + 1, 3),
+    # so a graph of 10000 twin classes is refused before any work; the
+    # message must stay short
+    t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "count", "--family", "path", "--n", "10000")
+    assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == ""
-    assert err.count("\n") == 1 and "cap" in err and len(err) < 200
+    assert err.count("\n") == 1 and "C(10001, 3)" in err and "cap" in err and len(err) < 200
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,10 @@
 Every invocation must end in exit 0, 1 or 2 with no traceback, quickly.
 Each subcommand is driven by well-formed arguments with fuzzed sizes, by
 malformed ones, and by either with one argument dropped or a stray flag.
-Sizes are drawn small or far over a guard, so each admitted run is short.
-The open cost gaps that ROADMAP lists are left out, because no guard
-stops them yet: twin-free graphs of 17-24 vertices and blow-ups with large
-twin classes run for minutes under the edge rule.
+Sizes are drawn small or far over a guard, so each admitted run is short,
+except for the tree counters, which meter their own work: they also get
+twin-free graphs of 17-30 vertices and blow-ups with twin classes of up to
+40 vertices.
 """
 
 import io
@@ -84,13 +84,34 @@ def _command(valid, fuzzed):
 
 
 @st.composite
-def _templates(draw, most):
+def _templates(draw, most, largest=3):
     """A connected template: vertex count, tree edges, bits, multiplicities."""
     n = draw(st.integers(1, most))
     edges = [[draw(st.integers(0, v - 1)), v] for v in range(1, n)]
     phi = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    mult = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    mult = draw(st.lists(st.integers(1, largest), min_size=n, max_size=n))
     return n, edges, phi, mult
+
+
+@st.composite
+def _twin_free_graphs(draw):
+    """A path, cycle, grid or sparse or dense random graph on 17-30
+    vertices, as --graph JSON; random graphs may have a few twins."""
+    n = draw(st.integers(17, 30))
+    kind = draw(st.sampled_from(["path", "cycle", "grid", "sparse", "dense"]))
+    if kind == "grid":
+        rows = draw(st.integers(3, 5))
+        n = rows * (n // rows)
+        edges = [[v, v + 1] for v in range(n - 1) if (v + 1) % rows]
+        edges += [[v, v + rows] for v in range(n - rows)]
+    elif kind in ("path", "cycle"):
+        edges = [[v, v + 1] for v in range(n - 1)] + ([[0, n - 1]] if kind == "cycle" else [])
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        edges = [[rng.randrange(v), v] for v in range(1, n)]
+        p = 0.5 if kind == "dense" else 1 / n
+        edges += [[u, v] for u in range(n) for v in range(u + 2, n) if rng.random() < p]
+    return json.dumps({"n": n, "edges": edges})
 
 
 def _hgraph_json(t):
@@ -201,6 +222,21 @@ FAMILY_ARGS = st.tuples(st.sampled_from(FAMILIES), _sizes([-1, 0, 1, 2, 3, 5, 7,
     )
 )
 def test_fuzz_count(argv):
+    _run(argv)
+
+
+@settings(FUZZ, max_examples=16)
+@given(
+    st.tuples(
+        st.one_of(
+            _templates(3, 40).map(_hgraph_json),
+            _twin_free_graphs(),
+        ),
+        st.sampled_from(["edge", "connected"]),
+    ).map(lambda t: ["count", "--graph", t[0], "--rule", t[1]])
+)
+def test_fuzz_count_metered(argv):
+    # the tree counters end in a count or a refusal by their work meter
     _run(argv)
 
 

@@ -14,12 +14,14 @@ from asmtree import (
     TruncatedSeries,
     b_egf,
     build_h_graph,
+    closed_form,
     count_edge_rule,
     count_from_egf,
     diag_formula_easyex,
     diagonal,
     family,
     hgraph_egf,
+    is_connected_subset,
     sqrt1,
 )
 from asmtree import series
@@ -489,3 +491,26 @@ def test_egf_windows_over_budget_are_refused_before_any_work(monkeypatch):
         hgraph_egf(HSpec(Graph(3, [(0, 1), (1, 2)]), (1, 0, 1)), (60, 60, 60))
     with pytest.raises(ComputationRefused):
         b_egf(1, 0, 0, 100000)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: closed_form("path", True),
+        lambda: TruncatedSeries((True,)),
+        lambda: hgraph_egf(HSpec(family("complete", [2]), (0, 0)), (2, False)),
+        lambda: TruncatedSeries((2,)).coeff((True,)),
+        lambda: b_egf(True, 0, 0, 3),
+        lambda: b_egf(2, False, 0, 3),
+        lambda: b_egf(2, 0, True, 3),
+        lambda: b_egf(2, 0, 0, True),
+        lambda: diag_formula_easyex(True),
+        lambda: is_connected_subset(family("path", [2]), True),
+    ],
+    ids=["closed_form", "series_caps", "egf_caps", "coeff", "b_egf_N", "b_egf_M",
+         "b_egf_J", "b_egf_cap", "diag_formula", "subset"],
+)
+def test_bools_are_not_integer_parameters(call):
+    # JSON true/false parse as bools, and bool is a subclass of int
+    with pytest.raises(InputError):
+        call()

@@ -2,7 +2,11 @@ import itertools
 import random
 
 import pytest
-from conftest import count_connected_rule_dp, random_permutation
+from conftest import (
+    partition_dp,
+    random_connected_graph,
+    random_permutation,
+)
 
 from asmtree import (
     AssemblyTree,
@@ -60,12 +64,17 @@ def test_count_edge_rule_rejections():
         count_edge_rule(Graph(0))
 
 
-def test_subset_cap_override(monkeypatch):
-    # the cap is read at each call, so a patched constant takes effect
-    monkeypatch.setattr(trees, "SUBSET_CAP", 4)
-    with pytest.raises(CapExceeded):
+def test_work_budget_override(monkeypatch):
+    # the budget is read at each call, so a patched constant takes effect:
+    # P_4 costs 30 units of work and P_5 costs 55
+    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 40)
+    with pytest.raises(CapExceeded, match="units of work"):
         count_edge_rule(family("path", [5]))
     assert count_edge_rule(family("path", [4])) == 5
+    # C(c + 1, 3) > budget refuses c twin classes before any work
+    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 19)
+    with pytest.raises(CapExceeded, match=r"C\(6, 3\)"):
+        count_edge_rule(family("path", [5]))
 
 
 def test_enumerate_sizes():
@@ -222,7 +231,7 @@ def test_connected_rule_against_partition_dp():
         family("complete_multipartite", [2, 2]),
         family("caterpillar", [3]),
     ):
-        assert count_connected_rule(g) == count_connected_rule_dp(g)
+        assert count_connected_rule(g) == partition_dp(g, True)
 
 
 def test_connected_rule_star_counts_are_ordered_set_partitions():
@@ -304,13 +313,16 @@ def test_subset_dp_closures_are_freed_on_return():
         assert len(enumerate_edge_rule(family("path", [4]))) == 5
         assert count_connected_rule(family("path", [4])) == 11
         assert leftover() == []
-        tracemalloc.start()
-        try:
-            assert count_edge_rule(family("cycle", [11])) == closed_form("cycle", 11)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak > 16_384 and retained < 1_024  # 2048 states, 8 bytes each
+        for count in (count_edge_rule, count_connected_rule):
+            g = family("cycle", [14])
+            tracemalloc.start()
+            try:
+                count(g)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # the 183 connected states of C_14 hold their counts until return
+            assert peak > 16_384 and retained < 1_024
     finally:
         gc.enable()
 
@@ -330,7 +342,7 @@ def test_core_matches_enumeration_on_every_small_graph():
         for g in _connected_graphs(n):
             assert count_edge_rule(g) == len(enumerate_edge_rule(g)), g
             connected = count_connected_rule(g)
-            assert connected == len(enumerate_connected_rule(g)) == count_connected_rule_dp(g), g
+            assert connected == len(enumerate_connected_rule(g)) == partition_dp(g, True), g
             seen += 1
     assert seen == 772
 
@@ -359,7 +371,7 @@ def test_core_matches_independent_routes_on_small_blowups():
                 edge = count_edge_rule(g)
                 connected = count_connected_rule(g)
                 assert edge == count_from_egf(hgraph_egf(spec, mult), mult), spec
-                assert connected == count_connected_rule_dp(g), spec
+                assert connected == partition_dp(g, True), spec
                 if g.n <= 6:
                     assert edge == len(enumerate_edge_rule(g)), spec
                     assert connected == len(enumerate_connected_rule(g)), spec
@@ -395,30 +407,120 @@ def test_core_is_invariant_when_twins_are_not_contiguous():
         assert count_edge_rule(h) == 74313487800
 
 
+def _little_schroeder(n: int) -> int:
+    """OEIS A001003 (1, 1, 3, 11, 45, 197, ...), by its P-recurrence
+    (n + 1)·s(n) = 3(2n - 1)·s(n - 1) - (n - 2)·s(n - 2); s(n - 1) counts
+    the connected-rule trees of P_n, whose parts are intervals."""
+    s = [1, 1]
+    for k in range(2, n + 1):
+        s.append((3 * (2 * k - 1) * s[-1] - (k - 2) * s[-2]) // (k + 1))
+    return s[n]
+
+
+def _connected_rule_cycle(n: int) -> int:
+    """Connected-rule trees of C_n: the root cuts the cycle into two or more
+    arcs, each a child with s(L - 1) trees on its L vertices. Vertex 0 sits
+    at one of L places in its arc; c(m) counts the rest as a row of arcs."""
+    t = [0] + [_little_schroeder(size - 1) for size in range(1, n)]
+    c = [1]
+    for m in range(1, n):
+        c.append(sum(t[size] * c[m - size] for size in range(1, m + 1)))
+    return sum(size * t[size] * c[n - size] for size in range(1, n))
+
+
 def test_work_guard_is_keyed_to_the_twin_quotient(monkeypatch):
-    # a twin-free graph costs 3 per vertex, so it is refused as before
-    with pytest.raises(CapExceeded, match="cap"):
-        count_edge_rule(family("path", [25]))
-    with pytest.raises(CapExceeded, match="cap"):
-        count_connected_rule(family("cycle", [25]))
-    # a class of k twins costs C(k + 2, 2): K_5 costs 21 <= 3^4
-    monkeypatch.setattr(trees, "SUBSET_CAP", 4)
+    # a twin-free graph costs its connected sets and useful splits, so P_25
+    # and C_25 take milliseconds
+    assert count_edge_rule(family("path", [25])) == closed_form("path", 25)
+    assert count_edge_rule(family("cycle", [25])) == closed_form("cycle", 25)
+    assert count_connected_rule(family("path", [25])) == _little_schroeder(24)
+    assert count_connected_rule(family("cycle", [25])) == _connected_rule_cycle(25)
+    # a class of k twins has k states: K_5 costs 25 units and K_{3,3} 85
+    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 40)
     assert count_edge_rule(family("complete", [5])) == closed_form("complete", 5)
     assert count_connected_rule(family("complete", [5])) == 236
-    with pytest.raises(CapExceeded):  # two classes of 3: C(5, 2)^2 = 100 > 81
+    with pytest.raises(CapExceeded, match="units of work"):
         count_edge_rule(family("complete_multipartite", [3, 3]))
-    # a huge cap admits everything at once; 3^cap is never computed
-    monkeypatch.setattr(trees, "SUBSET_CAP", 10**12)
+    # a huge budget admits everything
+    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 10**12)
     assert count_edge_rule(family("path", [6])) == 42
 
 
-def test_connected_rule_cap_counts_every_state(monkeypatch):
-    # the connected rule fills P on disconnected states too, so a sparse
-    # twin-free graph costs it the whole estimate: its cap stays at 16
-    monkeypatch.setattr(trees, "SUBSET_CAP", 10**12)
-    with pytest.raises(CapExceeded, match=r"cap 3\^16"):
-        count_connected_rule(family("path", [17]))
+def test_connected_rule_walks_connected_states_only():
+    # P of a disconnected rest is the product over its components, so the
+    # connected rule needs only connected states: sparse twin-free graphs
+    # of 17-40 vertices take milliseconds
+    for n in range(3, 9):
+        assert _connected_rule_cycle(n) == partition_dp(family("cycle", [n]), True)
+    for n in (1, 2, 3, 4, 5, 6, 17, 24, 40):
+        assert count_connected_rule(family("path", [n])) == _little_schroeder(n - 1)
+    for n in (3, 4, 5, 17, 20, 24):
+        assert count_connected_rule(family("cycle", [n])) == _connected_rule_cycle(n)
     assert count_edge_rule(family("path", [17])) == closed_form("path", 17)
-    monkeypatch.setattr(trees, "SUBSET_CAP", 24)
-    with pytest.raises(CapExceeded, match=r"cap 3\^16"):
-        count_connected_rule(family("cycle", [20]))
+
+
+def test_core_matches_partition_dp_on_every_graph_up_to_6_vertices():
+    seen = 0
+    for n in range(1, 7):
+        for g in _connected_graphs(n):
+            assert count_edge_rule(g) == partition_dp(g, False), g
+            assert count_connected_rule(g) == partition_dp(g, True), g
+            seen += 1
+    assert seen == 27476
+
+
+def _random_blowup(rng: random.Random) -> Graph:
+    """A relabelled blow-up of a random connected template on 2-5 vertices
+    with at most 8 vertices, mixing one-vertex classes and twin classes."""
+    k = rng.randint(2, 5)
+    base = Graph(2, [(0, 1)]) if k == 2 else random_connected_graph(rng, k, rng.randint(0, 2))
+    mult = [rng.choice((1, 1, 2, 3)) for _ in range(k)]
+    while sum(mult) > 8:
+        mult[mult.index(max(mult))] -= 1
+    phi = tuple(rng.randint(0, 1) for _ in range(k))
+    g = build_h_graph(HSpec(base, phi, tuple(mult)))
+    return relabel(g, random_permutation(rng, g.n))
+
+
+def _random_tree_with_cherries(rng: random.Random) -> Graph:
+    """A relabelled random tree on at most 8 vertices in which some vertices
+    carry cherries: two leaves on one vertex are false twins."""
+    m = rng.randint(1, 6)
+    edges = [(rng.randrange(v), v) for v in range(1, m)]
+    n = m
+    while n + 2 <= 8 and rng.random() < 0.6:
+        p = rng.randrange(n)
+        edges += [(p, n), (p, n + 1)]
+        n += 2
+    return relabel(Graph(n, edges), random_permutation(rng, n))
+
+
+@pytest.mark.parametrize("make", [_random_blowup, _random_tree_with_cherries])
+def test_core_matches_partition_dp_on_random_twin_graphs(make):
+    rng = random.Random(2026)
+    for _ in range(300):
+        g = make(rng)
+        assert count_edge_rule(g) == partition_dp(g, False), g
+        assert count_connected_rule(g) == partition_dp(g, True), g
+
+
+# the two 15-vertex graphs of the dp_sparse benchmark workload: uniform
+# labelled trees plus extra random edges, with pinned edge-rule counts
+R15 = (
+    (((0, 6), (0, 14), (1, 6), (2, 9), (3, 5), (3, 7), (3, 11), (4, 8), (4, 10),
+      (4, 14), (6, 13), (7, 9), (9, 13), (10, 14), (11, 12), (12, 14)), 325551316),
+    (((0, 7), (1, 4), (1, 9), (1, 11), (2, 14), (3, 6), (3, 12), (4, 5), (4, 12),
+      (4, 13), (5, 6), (5, 10), (6, 8), (7, 10), (9, 10), (12, 14)), 819108569),
+)
+
+
+def test_core_matches_closed_forms_and_pins_on_twin_free_graphs():
+    for n in (*range(1, 13), 17, 24, 25, 31, 40, 47, 60):
+        assert count_edge_rule(family("path", [n])) == closed_form("path", n), n
+        if n >= 3:
+            assert count_edge_rule(family("cycle", [n])) == closed_form("cycle", n), n
+    rng = random.Random(15)
+    for edges, want in R15:
+        for _ in range(3):
+            g = relabel(Graph(15, edges), random_permutation(rng, 15))
+            assert count_edge_rule(g) == want
