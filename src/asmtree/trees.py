@@ -32,7 +32,7 @@ trees. The gluing route stays independent of anchored splits.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations, permutations, product
+from itertools import accumulate, chain, combinations, permutations, product
 from math import comb, factorial
 
 from .errors import CapExceeded, ComputationRefused, DisconnectedGraph, InputError
@@ -264,12 +264,12 @@ def _walk(adj, ns: int, blocks, cut: bool):
     cache: dict[int, list] = {}
     for v in reversed(range(len(reps))):
         above = (1 << len(reps)) - (1 << v)
-        sets = [q for _, q, _ in _grow(quotient, 1 << v, above, 0, False)]
-        if _component(quotient, above, above) == above:
-            sets.append(above)
-        # a sub-state has a smaller class set, or the same one with no more
-        # twins of each class; the last block varies slowest
-        for q in sorted(sets):
+        whole = [above] if _component(quotient, above, above) == above else []
+        # a sub-state has a smaller class set, which _grow yields first (a
+        # later branch bans what an earlier one takes, and runs first), or
+        # the same one with no more twins of each class (the last block
+        # varies slowest), so nothing is sorted or held
+        for q in chain((q for _, q, _ in _grow(quotient, 1 << v, above, 0, False)), whole):
             tops = [(o, 1 if q == 1 << ns + b and not adj[o] >> o + 1 & 1 else k)
                     for b, (o, k) in last_first if q >> ns + b & 1]
             for ms in product(*(range(1, k + 1) for _, k in tops)):

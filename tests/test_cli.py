@@ -117,8 +117,10 @@ def _dense_twin_free_graph(n: int, seed: int) -> str:
         ["--graph", _dense_twin_free_graph(20, 3)],
         # about 10^6 splits, each multiplying counts of hundreds of words
         ["--family", "complete", "--n", "1414"],
+        # 3^30 connected sets hold the centre: they are metered as they grow
+        ["--family", "star2", "--n", "30"],
     ],
-    ids=["dense_G20", "K1414"],
+    ids=["dense_G20", "K1414", "star2_30"],
 )
 def test_count_too_costly_is_stopped_by_the_meter_exit_1(capsys, source):
     t0 = time.perf_counter()
