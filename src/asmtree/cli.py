@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 
 from . import asymptotics as asy
@@ -142,26 +141,19 @@ def _cmd_table(args) -> int:
     if args.max < 1:
         raise InputError("--max must be >= 1")
     top = args.max
+    # one count of K_{top,top} holds every K_{m,n}: its parts are the twin
+    # blocks 0..top-1 and top..2top-1, so K_{m,n} is the state below
+    k = graphs.family("complete_multipartite", [top, top])
+    dp = trees._count_trees(k, False, f"table --max {top}")
     spec = graphs.HSpec(graphs.family("complete", [2]), (0, 0))
     egf = series.hgraph_egf(spec, (top, top))
-    # the subset DP on K_{m,n} runs C(m+2,2)*C(n+2,2) twin-quotient splits,
-    # each multiplying counts of w 64-bit words, w read off the series count
-    work = 0
-    for m in range(1, top + 1):
-        for n in range(m, top + 1):
-            w = (series.count_from_egf(egf, (m, n)).bit_length() + 63) // 64
-            work += comb(m + 2, 2) * comb(n + 2, 2) * w * w
-    if work > series.EGF_WORK_BUDGET:
-        raise ComputationRefused(f"table --max {top} needs about {work:.2g} subset-DP steps")
     rows = []
     discrepancies = []
     for m in range(1, top + 1):
         row = []
         for n in range(m, top + 1):
             via_series = series.count_from_egf(egf, (m, n))
-            via_dp = trees.count_edge_rule(
-                graphs.family("complete_multipartite", [m, n])
-            )
+            via_dp = dp[(1 << m) - 1 | (1 << n) - 1 << top]
             if via_series != via_dp:
                 raise EngineError(
                     f"series/subset-DP disagree at ({m},{n}): {via_series} vs {via_dp}"

@@ -41,22 +41,34 @@ def _check_size(n: int, m: int = 0) -> None:
         raise CapExceeded(f"{m} edges exceeds the cap of {MAX_EDGES}")
 
 
+def _neighbours(adj, mask: int) -> int:
+    nb = 0
+    while mask:
+        low = mask & -mask
+        nb |= adj[low.bit_length() - 1]
+        mask ^= low
+    return nb
+
+
+def _component(adj, mask: int, goal: int) -> int:
+    """The component of the lowest vertex of `goal` in the graph that `mask`
+    induces, grown only until it covers `goal`."""
+    seen = frontier = goal & -goal
+    while frontier and seen & goal != goal:
+        frontier = _neighbours(adj, frontier) & mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def _components(adj, mask: int):
+    while mask:
+        yield (c := _component(adj, mask, mask))
+        mask ^= c
+
+
 def _connected_mask(adj, mask: int) -> bool:
     """True iff the induced subgraph on the bitset `mask` is connected."""
-    if mask == 0:
-        return False
-    seen = mask & -mask
-    frontier = seen
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            nxt |= adj[v]
-        frontier = nxt & mask & ~seen
-        seen |= frontier
-    return seen == mask
+    return mask != 0 and _component(adj, mask, mask) == mask
 
 
 class Graph:

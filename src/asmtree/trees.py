@@ -25,24 +25,25 @@ connected sets only, and grows the parts of each by MinCut branching, which
 visits only the splits the rule can use. The counters run it on the twin
 quotient: twins (vertices with equal open or equal closed neighbourhoods)
 are interchangeable, so a count depends only on how many vertices of each
-twin class a set holds. One work budget, metered as the walk goes, refuses
-graphs that cost too much. The enumerators run the same walk on explicit
-trees. The gluing route stays independent of anchored splits.
+twin class a set holds. The enumerators run the same walk on explicit
+trees. The gluing route stays independent of anchored splits. One work
+budget bounds all three: the walk is metered as it goes, and gluing is
+refused before it starts by its exact loop counts.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain, combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import CapExceeded, ComputationRefused, DisconnectedGraph, InputError
-from .graphs import Graph, relabel
+from .graphs import Graph, _component, _components, _neighbours, relabel
 from .rationals import is_int
 
-SMALL_ENUM_CAP = 9
-# One unit of work is one count that a split multiplies, more for counts of
-# many 64-bit words (see _count_trees). CPython 3.11 on a 2-vCPU virtual
-# machine runs 0.4-1 million units per second, so refusals take under 3 s.
+# A unit of tree work is one count that a split multiplies (more for counts
+# of many words, see _count_trees), one tree or forest enumerated, one edge
+# subset or one gluing join. CPython 3.11 on a 2-vCPU virtual machine runs
+# 0.4-1 million units per second, so refusals take under 3 s.
 TREE_WORK_BUDGET = 1_000_000
 
 
@@ -53,10 +54,9 @@ def _check_countable(g: Graph, what: str) -> None:
         raise DisconnectedGraph(f"{what}: graph is not connected")
 
 
-def _check_enumerable(g: Graph, what: str) -> None:
-    if g.n > SMALL_ENUM_CAP:
-        raise CapExceeded(f"{what}: {g.n} vertices exceeds the cap of {SMALL_ENUM_CAP}")
-    _check_countable(g, what)
+def _check_work(work: int, need: str) -> None:
+    if work > TREE_WORK_BUDGET:
+        raise CapExceeded(f"{need} over {TREE_WORK_BUDGET:.2g} units of work, the cap")
 
 
 class AssemblyTree:
@@ -153,31 +153,6 @@ def _twin_layout(g: Graph) -> tuple[tuple[int, ...], int, list[tuple[int, int]]]
     sizes = [len(cls) for cls in classes]
     blocks = list(zip(accumulate(sizes, initial=len(singles)), sizes))
     return (g if perm == sorted(perm) else relabel(g, perm)).adj, len(singles), blocks
-
-
-def _neighbours(adj, mask: int) -> int:
-    nb = 0
-    while mask:
-        low = mask & -mask
-        nb |= adj[low.bit_length() - 1]
-        mask ^= low
-    return nb
-
-
-def _component(adj, mask: int, goal: int) -> int:
-    """The component of the lowest vertex of `goal` in the graph that `mask`
-    induces, grown only until it covers `goal`."""
-    seen = frontier = goal & -goal
-    while frontier and seen & goal != goal:
-        frontier = _neighbours(adj, frontier) & mask & ~seen
-        seen |= frontier
-    return seen
-
-
-def _components(adj, mask: int):
-    while mask:
-        yield (c := _component(adj, mask, mask))
-        mask ^= c
 
 
 def _grow(adj, anchor: int, whole: int, seconds: int, cut: bool):
@@ -277,7 +252,7 @@ def _walk(adj, ns: int, blocks, cut: bool):
                 yield u, _splits(adj, u, blocks, seconds, cut, cache)
 
 
-def _count_trees(g: Graph, connected_rule: bool, what: str) -> int:
+def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
     """Assembly trees of g under either rule, by one convolution over the
     connected states of the twin quotient (vertex sets that hold the lowest
     m_i vertices of each twin block i): a(u) = sum w·a(s)·X(u - s) over the
@@ -285,6 +260,8 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> int:
     edge rule takes X = a. The connected rule takes X = P, the weighted
     partitions into connected parts: the product of P over the components
     of u - s, with P(c) = a(c) + conv(c, P) = 2·a(c), or 1 on one vertex.
+    Returns a, keyed by the states of the twin layout, which keeps the
+    labels of g when its twin classes are contiguous blocks.
     """
     _check_countable(g, what)
     adj, ns, blocks = _twin_layout(g)
@@ -315,16 +292,15 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> int:
         # count of w words costs w^2/1024 more (the total bounds w), as
         # big-integer products dominate there
         work += (count + 1) * (1 + (total.bit_length() >> 6) ** 2 // 1024) + (u.bit_length() >> 6)
-        if work > TREE_WORK_BUDGET:
-            raise CapExceeded(f"{need} over {TREE_WORK_BUDGET:.2g} units of work, the cap")
-    return a[g.full_mask]
+        _check_work(work, need)
+    return a
 
 
 def count_edge_rule(g: Graph) -> int:
     """Number of distinct edge-rule assembly trees: a(U) sums
     a(S)·a(U\\S) over the splits of U, which are crossed by an edge exactly
     when U is connected."""
-    return _count_trees(g, False, "count_edge_rule")
+    return _count_trees(g, False, "count_edge_rule")[g.full_mask]
 
 
 def _trees_by_subset(g: Graph, connected_rule: bool) -> dict[int, list[AssemblyTree]]:
@@ -333,16 +309,26 @@ def _trees_by_subset(g: Graph, connected_rule: bool) -> dict[int, list[AssemblyT
     every weight 1): a tree of u joins a tree of a part s with a forest of
     u - s, one from each of its components c. The forests of c are its
     trees as one-part forests, plus, under the connected rule, its joins.
+    Each tree and forest costs a unit of work, charged before it is built.
     """
+    need = f"enumerate_{'connected' if connected_rule else 'edge'}_rule: {g.n} vertices need"
     trees: dict[int, list[AssemblyTree]] = {}
     forests: dict[int, list[tuple[AssemblyTree, ...]]] = {}
+    work = 0
     for u, splits in _walk(g.adj, g.n, (), not connected_rule):
         joins = []
         for _, s, r in splits:
+            cs = list(_components(g.adj, r))
+            # a join is a tree and a one-part forest, and a forest itself
+            # under the connected rule
+            work += (2 + connected_rule) * len(trees[s]) * prod(len(forests[c]) for c in cs)
+            _check_work(work, need)
             fs = [()]
-            for c in _components(g.adj, r):
+            for c in cs:
                 fs = [f + h for f in fs for h in forests[c]]
             joins += [(t,) + f for t in trees[s] for f in fs]
+        if not u & u - 1:
+            work += 2  # a leaf and its one-part forest
         trees[u] = [AssemblyTree(u, j) for j in joins] if u & u - 1 else [AssemblyTree(u)]
         forests[u] = [(t,) for t in trees[u]] + (joins if connected_rule else [])
     return trees
@@ -350,7 +336,7 @@ def _trees_by_subset(g: Graph, connected_rule: bool) -> dict[int, list[AssemblyT
 
 def enumerate_edge_rule_trees(g: Graph) -> tuple[AssemblyTree, ...]:
     """All distinct edge-rule assembly trees as explicit objects."""
-    _check_enumerable(g, "enumerate_edge_rule")
+    _check_countable(g, "enumerate_edge_rule")
     return tuple(_trees_by_subset(g, False)[g.full_mask])
 
 
@@ -368,12 +354,16 @@ def _find(parent: list[int], x: int) -> int:
 
 
 def spanning_trees(g: Graph) -> list[tuple[tuple[int, int], ...]]:
-    """All spanning trees as sorted edge tuples (small graphs only)."""
+    """All spanning trees as sorted edge tuples, from every (n-1)-subset of
+    the edges; refused when there are more subsets than the work budget."""
     if g.n == 0:
         return []
     edges = g.edges()
     if g.n == 1:
         return [()]
+    if comb(len(edges), g.n - 1) > TREE_WORK_BUDGET:
+        raise CapExceeded(f"spanning_trees: {g.n} vertices need C({len(edges)}, {g.n - 1}) "
+                          f"edge subsets, over the cap {TREE_WORK_BUDGET:.2g}")
     out = []
     for subset in combinations(edges, g.n - 1):
         parent = list(range(g.n))
@@ -410,10 +400,16 @@ def gluing_sequence_tree(g: Graph, sequence) -> AssemblyTree:
 
 def trees_from_gluing_sequences(g: Graph) -> set[CanonicalCode]:
     """Deduplicated assembly trees from every edge ordering of every
-    spanning tree; independently reproduces enumerate_edge_rule."""
-    _check_enumerable(g, "trees_from_gluing_sequences")
+    spanning tree; independently reproduces enumerate_edge_rule. Refused
+    before any ordering when the orderings' n - 1 joins each exceed the
+    work budget."""
+    _check_countable(g, "trees_from_gluing_sequences")
+    sts = spanning_trees(g)
+    if len(sts) * factorial(g.n - 1) * (g.n - 1) > TREE_WORK_BUDGET:
+        raise CapExceeded(f"trees_from_gluing_sequences: {g.n} vertices need {len(sts)}·"
+                          f"{g.n - 1}!·{g.n - 1} joins, over the cap {TREE_WORK_BUDGET:.2g}")
     seen: set[CanonicalCode] = set()
-    for tree_edges in spanning_trees(g):
+    for tree_edges in sts:
         for order in permutations(tree_edges):
             seen.add(gluing_sequence_tree(g, order).canonical_code())
     return seen
@@ -422,7 +418,7 @@ def trees_from_gluing_sequences(g: Graph) -> set[CanonicalCode]:
 def enumerate_connected_rule_trees(g: Graph) -> tuple[AssemblyTree, ...]:
     """All distinct connected-rule assembly trees (children partition the
     parent label; each part induces a connected subgraph)."""
-    _check_enumerable(g, "enumerate_connected_rule")
+    _check_countable(g, "enumerate_connected_rule")
     return tuple(_trees_by_subset(g, True)[g.full_mask])
 
 
@@ -435,7 +431,7 @@ def count_connected_rule(g: Graph) -> int:
     a(S)·P(U\\S) over connected parts S holding U's lowest vertex, where P
     counts the partitions of the rest into connected parts, weighted by
     their trees."""
-    return _count_trees(g, True, "count_connected_rule")
+    return _count_trees(g, True, "count_connected_rule")[g.full_mask]
 
 
 def closed_form(family_name: str, n: int) -> int:

@@ -186,6 +186,14 @@ def test_enumerate_without_flag_reports_count(capsys):
     assert code == 0 and json.loads(out) == {"count": "10"}
 
 
+def test_enumerate_k9_is_refused_by_the_meter_exit_1(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "--family", "complete", "--n", "9")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "units of work, the cap" in err
+
+
 def test_enumerate_is_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, "enumerate", "--family", "star", "--n", "3", "--emit-trees")
     _, out2, _ = run_cli(capsys, "enumerate", "--family", "star", "--n", "3", "--emit-trees")
@@ -251,7 +259,9 @@ def test_table_max_4_reports_discrepancy(capsys):
     assert disc["previously_reported"] == ["46400", "23200"]
 
 
-def test_table_over_budget_exit_1_before_any_dp(capsys, monkeypatch):
+def test_table_over_budget_is_refused_by_the_counters_meter_exit_1(capsys, monkeypatch):
+    # the one count of K_{100,100} is stopped by the tree counters' meter,
+    # and no cell is counted on its own
     from asmtree import trees
 
     def unreachable(*_):
@@ -263,6 +273,28 @@ def test_table_over_budget_exit_1_before_any_dp(capsys, monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
     assert err.startswith("refused:") and err.count("\n") == 1
+    assert "units of work, the cap" in err
+
+
+def test_table_cells_are_the_states_of_one_count(capsys):
+    # cell (m, n) is read at a state of K_{8,8}; each equals its own count
+    from asmtree import count_edge_rule, family
+
+    code, out, _ = run_cli(capsys, "table", "--family", "bipartite", "--max", "8")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    for m in range(1, 9):
+        for n in range(m, 9):
+            fresh = count_edge_rule(family("complete_multipartite", [m, n]))
+            assert rows[m - 1][n - m] == str(fresh), (m, n)
+
+
+def test_table_admits_max_36_and_refuses_37(capsys):
+    code, out, err = run_cli(capsys, "table", "--family", "bipartite", "--max", "36")
+    assert code == 0 and err == "" and len(json.loads(out)["rows"]) == 36
+    code, out, err = run_cli(capsys, "table", "--family", "bipartite", "--max", "37")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "units of work" in err
 
 
 def test_table_rejects_other_families(capsys):

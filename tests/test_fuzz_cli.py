@@ -4,9 +4,11 @@ Every invocation must end in exit 0, 1 or 2 with no traceback, quickly.
 Each subcommand is driven by well-formed arguments with fuzzed sizes, by
 malformed ones, and by either with one argument dropped or a stray flag.
 Sizes are drawn small or far over a guard, so each admitted run is short,
-except for the tree counters, which meter their own work: they also get
-twin-free graphs of 17-30 vertices and blow-ups with twin classes of up to
-40 vertices.
+except for the tree routes, which meter their own work: the counters also
+get twin-free graphs of 17-30 vertices and blow-ups with twin classes of up
+to 40 vertices, `enumerate` graphs of 9-12 vertices, and `table` every
+--max from 1 to 40; `diagonal` gets every --upto from 0 to 60, around
+the EGF window guard of its template.
 """
 
 import io
@@ -94,10 +96,11 @@ def _templates(draw, most, largest=3):
 
 
 @st.composite
-def _twin_free_graphs(draw):
+def _twin_free_graphs(draw, sizes=st.integers(17, 30)):
     """A path, cycle, grid or sparse or dense random graph on 17-30
-    vertices, as --graph JSON; random graphs may have a few twins."""
-    n = draw(st.integers(17, 30))
+    vertices (or `sizes`), as --graph JSON; random graphs may have a few
+    twins."""
+    n = draw(sizes)
     kind = draw(st.sampled_from(["path", "cycle", "grid", "sparse", "dense"]))
     if kind == "grid":
         rows = draw(st.integers(3, 5))
@@ -252,6 +255,50 @@ def test_fuzz_count_metered(argv):
     )
 )
 def test_fuzz_series(argv):
+    _run(argv)
+
+
+@FUZZ
+@given(
+    _command(
+        st.tuples(
+            _twin_free_graphs(st.integers(9, 12)) | st.just('{"family": "complete", "params": [9]}'),
+            st.sampled_from([[], ["--emit-trees"]]),
+        ).map(lambda t: ["enumerate", "--graph", t[0], *t[1]])
+        | FAMILY_ARGS.map(lambda f: ["enumerate", *f]),
+        FUZZED_GRAPHS.map(lambda g: ["enumerate", "--graph", g]),
+    )
+)
+def test_fuzz_enumerate(argv):
+    # the enumerators end in the trees or a refusal by their work meter
+    _run(argv)
+
+
+@FUZZ
+@given(
+    _command(
+        _sizes(list(range(1, 41)) + HUGE).map(lambda m: ["table", "--family", "bipartite", "--max", m]),
+        st.tuples(st.sampled_from(["bipartite", "tripartite"]) | st.text(max_size=8), _sizes([-1, 0]) | BAD_INTS).map(
+            lambda t: ["table", "--family", t[0], "--max", t[1]]
+        ),
+    )
+)
+def test_fuzz_table(argv):
+    _run(argv)
+
+
+@FUZZ
+@given(
+    _command(
+        st.tuples(_templates(3), _sizes(list(range(61)) + HUGE)).map(
+            lambda t: ["diagonal", "--hgraph", _hgraph_json(t[0]), "--upto", t[1]]
+        ),
+        st.tuples(FUZZED_HGRAPHS, _sizes([-1]) | BAD_INTS).map(
+            lambda t: ["diagonal", "--hgraph", t[0], "--upto", t[1]]
+        ),
+    )
+)
+def test_fuzz_diagonal(argv):
     _run(argv)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from conftest import (
@@ -88,9 +89,40 @@ def test_enumerate_matches_count_small():
         assert len(enumerate_edge_rule(g)) == count_edge_rule(g)
 
 
-def test_enumeration_cap():
-    with pytest.raises(CapExceeded):
-        enumerate_edge_rule(family("path", [10]))
+@pytest.mark.parametrize("enumerate_rule", [enumerate_edge_rule, enumerate_connected_rule])
+def test_enumeration_is_metered(enumerate_rule):
+    # no vertex cap: K_9 is refused by the work meter, P_10 is enumerated
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded, match="units of work, the cap") as info:
+        enumerate_rule(family("complete", [9]))
+    assert time.perf_counter() - t0 < 5.0
+    assert "\n" not in str(info.value)
+    assert len(enumerate_edge_rule(family("path", [10]))) == closed_form("path", 10) == 4862
+
+
+def test_enumeration_charges_each_tree_and_forest(monkeypatch):
+    # the edge rule on K_6 builds one tree and one forest for each of the
+    # sum over k of C(6, k)(2k - 3)!! trees of its vertex sets: 2 * 1881
+    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 3762)
+    assert len(enumerate_edge_rule(family("complete", [6]))) == closed_form("complete", 6)
+    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 3761)
+    with pytest.raises(CapExceeded, match="units of work"):
+        enumerate_edge_rule(family("complete", [6]))
+
+
+def test_gluing_is_refused_before_any_ordering(monkeypatch):
+    # K_7 has 16807 spanning trees of 6! orderings of 6 joins each
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"16807·6!·6 joins"):
+        trees_from_gluing_sequences(family("complete", [7]))
+    assert time.perf_counter() - t0 < 0.5
+
+    def unreachable(*_):
+        raise AssertionError("a spanning tree was built")
+
+    monkeypatch.setattr(trees, "_find", unreachable)
+    with pytest.raises(CapExceeded, match=r"C\(36, 8\) edge subsets"):
+        trees_from_gluing_sequences(family("complete", [9]))
 
 
 def test_spanning_trees_counts():
