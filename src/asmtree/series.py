@@ -219,9 +219,9 @@ def sqrt1(f: TruncatedSeries) -> TruncatedSeries:
 
 # Work budget of one EGF window, in the steps of _check_window_work; with
 # CPython 3.11 on a 2-vCPU virtual machine a window runs 5-9 million steps
-# per second. The tripartite window at caps 66 (acceptance criterion 7)
-# takes 9.0e6.
-EGF_WORK_BUDGET = 50_000_000
+# per second, so an admitted window takes at most about 5 s. The tripartite
+# window at caps 66 (acceptance criterion 7) takes 9.0e6.
+EGF_WORK_BUDGET = 25_000_000
 
 
 def _check_window_work(caps, terms: int) -> None:

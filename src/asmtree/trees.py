@@ -26,14 +26,15 @@ visits only the splits the rule can use. The counters run it on the twin
 quotient: twins (vertices with equal open or equal closed neighbourhoods)
 are interchangeable, so a count depends only on how many vertices of each
 twin class a set holds. The enumerators run the same walk on explicit
-trees. The gluing route stays independent of anchored splits. One work
-budget bounds all three: the walk is metered as it goes, and gluing is
-refused before it starts by its exact loop counts.
+trees. The gluing route stays independent of anchored splits: it joins
+the trees of the two sides of the last edge of each spanning tree,
+memoised on subtrees. One work budget bounds all three, and each is
+metered as it goes.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, combinations, permutations, product
+from itertools import accumulate, chain, combinations, product
 from math import comb, factorial, prod
 
 from .errors import CapExceeded, ComputationRefused, DisconnectedGraph, InputError
@@ -42,7 +43,7 @@ from .rationals import is_int
 
 # A unit of tree work is one count that a split multiplies (more for counts
 # of many words, see _count_trees), one tree or forest enumerated, one edge
-# subset or one gluing join. CPython 3.11 on a 2-vCPU virtual machine runs
+# subset or a quarter of a gluing join. CPython 3.11 on a 2-vCPU machine runs
 # 0.4-1 million units per second, so refusals take under 3 s.
 TREE_WORK_BUDGET = 1_000_000
 
@@ -96,15 +97,14 @@ class AssemblyTree:
     def canonical_code(self) -> bytes:
         """Byte string equal for two trees iff they are label-preserving
         isomorphic; children sort by (min vertex, label, code)."""
-        code = object.__getattribute__(self, "_code")
+        code = self._code
         if code is None:
-            if self.is_leaf:
-                code = b"%d" % self.min_vertex
+            if self.children:  # the lowest bit orders as the min vertex does
+                keyed = sorted([(c.label & -c.label, c.label, c.canonical_code())
+                                for c in self.children])
+                code = b"(" + b",".join([k[2] for k in keyed]) + b")"
             else:
-                keyed = sorted(
-                    (c.min_vertex, c.label, c.canonical_code()) for c in self.children
-                )
-                code = b"(" + b",".join(k[2] for k in keyed) + b")"
+                code = b"%d" % self.min_vertex
             object.__setattr__(self, "_code", code)
         return code
 
@@ -400,19 +400,67 @@ def gluing_sequence_tree(g: Graph, sequence) -> AssemblyTree:
 
 def trees_from_gluing_sequences(g: Graph) -> set[CanonicalCode]:
     """Deduplicated assembly trees from every edge ordering of every
-    spanning tree; independently reproduces enumerate_edge_rule. Refused
-    before any ordering when the orderings' n - 1 joins each exceed the
-    work budget."""
-    _check_countable(g, "trees_from_gluing_sequences")
-    sts = spanning_trees(g)
-    if len(sts) * factorial(g.n - 1) * (g.n - 1) > TREE_WORK_BUDGET:
-        raise CapExceeded(f"trees_from_gluing_sequences: {g.n} vertices need {len(sts)}·"
-                          f"{g.n - 1}!·{g.n - 1} joins, over the cap {TREE_WORK_BUDGET:.2g}")
-    seen: set[CanonicalCode] = set()
-    for tree_edges in sts:
-        for order in permutations(tree_edges):
-            seen.add(gluing_sequence_tree(g, order).canonical_code())
-    return seen
+    spanning tree; independently reproduces enumerate_edge_rule.
+
+    The last edge e of an ordering of a tree T joins the trees of the two
+    components T1, T2 of T - e, and any orderings of T1 and T2 interleave
+    before e, so the trees of T are the joins trees(T1) x trees(T2) over
+    the edges e of T. Spanning trees share subtrees, so the trees of each
+    are memoised on its edge set. A join costs 4 units of work, charged
+    before it is built; a tree of k edges has at least 2^(k-1) trees, so a
+    graph on n vertices is refused before any join when 4·2^(n-2) units
+    exceed the budget.
+    """
+    what = "trees_from_gluing_sequences"
+    _check_countable(g, what)
+    need = f"{what}: {g.n} vertices need"
+    if g.n > 1 and 4 << g.n - 2 > TREE_WORK_BUDGET:
+        raise CapExceeded(
+            f"{need} 4·2^{g.n - 2} units of work, over the cap {TREE_WORK_BUDGET:.2g}")
+    bit = {e: 1 << i for i, e in enumerate(g.edges())}
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for (u, v), b in bit.items():
+        incident[u].append((b, v))
+        incident[v].append((b, u))
+    leaves = [AssemblyTree.leaf(v) for v in range(g.n)]
+    memo: dict[int, list[AssemblyTree]] = {}
+    work = 0
+
+    def joined(mask: int, root: int):
+        """Yield the trees of the tree with edge set `mask` that holds `root`."""
+        nonlocal work
+        if not mask:
+            yield leaves[root]
+            return
+        order, up, parent = [root], {root: 0}, {}  # up: the edge to the parent
+        for v in order:
+            for b, w in incident[v]:
+                if mask & b and w not in up:
+                    up[w], parent[w] = b, v
+                    order.append(w)
+        below = dict.fromkeys(order, 0)  # the edges under each vertex
+        for v in reversed(order[1:]):
+            below[parent[v]] |= below[v] | up[v]
+        label = sum(1 << v for v in order)
+        for v in order[1:]:  # e = up[v]; T1 holds v, T2 the root
+            t1s = glue(below[v], v)
+            t2s = glue(mask ^ up[v] ^ below[v], root)
+            work += 4 * len(t1s) * len(t2s)
+            _check_work(work, need)
+            for t1 in t1s:
+                for t2 in t2s:
+                    yield AssemblyTree(label, (t1, t2))
+
+    def glue(mask: int, root: int) -> list[AssemblyTree]:
+        if not mask:
+            return [leaves[root]]
+        if mask not in memo:
+            memo[mask] = list(joined(mask, root))
+        return memo[mask]
+
+    # a spanning tree is no other tree's subtree: stream its trees, unmemoised
+    return {t.canonical_code() for st in spanning_trees(g)
+            for t in joined(sum(bit[e] for e in st), 0)}
 
 
 def enumerate_connected_rule_trees(g: Graph) -> tuple[AssemblyTree, ...]:

@@ -3,11 +3,12 @@
 import bisect
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 
 import pytest
 
-from asmtree import Graph, family, is_connected_subset
+from asmtree import Graph, family, gluing_sequence_tree, is_connected_subset, spanning_trees
 
 BATTERY_SEED = 20240810
 
@@ -96,6 +97,16 @@ def partition_dp(g: Graph, connected_rule: bool) -> int:
             a[u] = total if rest else 1
         x[u] = a[u] + total if connected_rule else a[u]
     return a[-1]
+
+
+def gluing_reference(g: Graph) -> set[bytes]:
+    """Reference for `trees_from_gluing_sequences`, by its definition: the
+    canonical codes of the tree of every ordering of every spanning tree."""
+    return {
+        gluing_sequence_tree(g, order).canonical_code()
+        for tree_edges in spanning_trees(g)
+        for order in permutations(tree_edges)
+    }
 
 
 def random_permutation(rng: random.Random, n: int) -> list[int]:

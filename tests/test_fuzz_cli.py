@@ -17,7 +17,7 @@ import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from asmtree import closed_form
@@ -287,7 +287,15 @@ def test_fuzz_table(argv):
     _run(argv)
 
 
+def _path_corner(phi):
+    """The slowest diagonal per step: the 3-vertex path template with clique
+    bits on both leaves, at its largest admitted --upto."""
+    return ["diagonal", "--hgraph", _hgraph_json((3, [[0, 1], [1, 2]], phi, [1, 1, 1])), "--upto", "29"]
+
+
 @FUZZ
+@example(_path_corner([1, 0, 1]))
+@example(_path_corner([1, 1, 1]))
 @given(
     _command(
         st.tuples(_templates(3), _sizes(list(range(61)) + HUGE)).map(

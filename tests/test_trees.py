@@ -4,6 +4,7 @@ import time
 
 import pytest
 from conftest import (
+    gluing_reference,
     partition_dp,
     random_connected_graph,
     random_permutation,
@@ -110,12 +111,20 @@ def test_enumeration_charges_each_tree_and_forest(monkeypatch):
         enumerate_edge_rule(family("complete", [6]))
 
 
-def test_gluing_is_refused_before_any_ordering(monkeypatch):
-    # K_7 has 16807 spanning trees of 6! orderings of 6 joins each
+def test_gluing_is_metered(monkeypatch):
+    # K_7 and P_14 are refused by the meter as they glue, in one line
+    for g in (family("complete", [7]), family("path", [14])):
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceeded, match="units of work, the cap") as info:
+            trees_from_gluing_sequences(g)
+        assert time.perf_counter() - t0 < 2.5
+        assert "\n" not in str(info.value)
+    # K_6, C_8 and S_8 (a 9-vertex tree) are admitted
     t0 = time.perf_counter()
-    with pytest.raises(CapExceeded, match=r"16807·6!·6 joins"):
-        trees_from_gluing_sequences(family("complete", [7]))
-    assert time.perf_counter() - t0 < 0.5
+    assert len(trees_from_gluing_sequences(family("complete", [6]))) == closed_form("complete", 6)
+    assert time.perf_counter() - t0 < 1.5
+    assert len(trees_from_gluing_sequences(family("cycle", [8]))) == closed_form("cycle", 8)
+    assert len(trees_from_gluing_sequences(family("star", [8]))) == closed_form("star", 8)
 
     def unreachable(*_):
         raise AssertionError("a spanning tree was built")
@@ -123,6 +132,35 @@ def test_gluing_is_refused_before_any_ordering(monkeypatch):
     monkeypatch.setattr(trees, "_find", unreachable)
     with pytest.raises(CapExceeded, match=r"C\(36, 8\) edge subsets"):
         trees_from_gluing_sequences(family("complete", [9]))
+    # a spanning tree on n vertices has at least 2^(n-2) trees
+    with pytest.raises(CapExceeded, match=r"4·2\^18 units of work"):
+        trees_from_gluing_sequences(family("path", [20]))
+
+
+def test_gluing_charges_each_join(monkeypatch):
+    # C_4 joins the trees of its four spanning paths (5 each), of their four
+    # 2-edge subpaths (2 each) and of its four edges: 32 joins of 4 units
+    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 128)
+    assert len(trees_from_gluing_sequences(family("cycle", [4]))) == 10
+    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 127)
+    with pytest.raises(CapExceeded, match="units of work"):
+        trees_from_gluing_sequences(family("cycle", [4]))
+
+
+def test_gluing_matches_every_ordering(battery):
+    # every labelled connected graph on at most 5 vertices, and the battery
+    # graphs on at most 6, against the tree of every ordering
+    seen = 0
+    for n in range(1, 6):
+        for g in _connected_graphs(n):
+            assert trees_from_gluing_sequences(g) == gluing_reference(g), g
+            seen += 1
+    assert seen == 772
+    for name, g in battery:
+        if g.n <= 6:
+            assert trees_from_gluing_sequences(g) == gluing_reference(g), name
+            seen += 1
+    assert seen == 772 + 27
 
 
 def test_spanning_trees_counts():
