@@ -55,7 +55,6 @@ from .series import (
     diag_formula_easyex,
     diagonal,
     hgraph_egf,
-    sqrt1,
 )
 from .trees import (
     AssemblyTree,

@@ -2,7 +2,11 @@
 
 Sequences are iterated in floating point with per-step window
 normalization (log magnitudes are tracked separately, so 10^5 terms of a
-13.5^n sequence never overflow). The exponential rate comes from the term
+13.5^n sequence never overflow). The coefficient values P_i(n + i) are
+exact integers, stepped by forward differences in blocks (see
+recurrences._poly_blocks) and converted to floats a block at a time;
+coefficients or warmup terms outside float range are refused before the
+iteration starts. The exponential rate comes from the term
 ratio, optionally Richardson-extrapolated in 1/n at three staggered
 checkpoints; the polynomial order theta is selected from a half-integer
 grid and the correction constants c0, c1, c2 of
@@ -18,13 +22,14 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ComputationRefused, InputError, LeadingCoefficientZero, NoConvergentExponent
-from .recurrences import PRecurrence, _poly_eval, extend
+from .recurrences import PRecurrence, _poly_blocks, extend
 
 _RESCALE_AT = 1e120
+_FLOAT_LIMIT = 2**1023  # a smaller int converts to float without overflow
 
 # Work budget of one float iteration, in steps of n_max * sum(deg_i + 1);
-# builtin c runs 5-6.5 million steps per second with CPython 3.11 on a
-# 2-vCPU virtual machine, so the budget is 8-10 s of work.
+# builtin c runs 10-14 million steps per second with CPython 3.11 on a
+# 2-vCPU virtual machine, so the budget is 4-5 s of work.
 ITERATION_WORK_BUDGET = 50_000_000
 # Most terms one LogSequence may hold (a float in a list costs ~32 bytes).
 MAX_LOG_TERMS = 2_000_000
@@ -71,9 +76,10 @@ def log_sequence(rec: PRecurrence, initial, n_max: int) -> LogSequence:
     """Iterate the recurrence to n_max, recording log magnitudes.
 
     The first few terms are computed exactly, iteration then switches to
-    floats with window rescaling. Leading-polynomial zeros are detected by
-    exact integer evaluation and refused. Zero or sign-flipping tails are
-    refused: growth extraction here targets eventually-positive sequences.
+    floats with window rescaling. Leading-polynomial zeros are detected on
+    the exact integer values and refused. Zero or sign-flipping tails are
+    refused: growth extraction here targets eventually-positive sequences,
+    and so are warmup terms or coefficient values beyond float range.
     """
     L = rec.order
     if n_max < rec.offset + L + 2:
@@ -87,36 +93,50 @@ def log_sequence(rec: PRecurrence, initial, n_max: int) -> LogSequence:
             f"over the budget of {ITERATION_WORK_BUDGET:.2g}"
         )
     ipolys = rec.integer_polys()
+    for p, d in zip(ipolys, rec.degrees()):
+        # bounds |P(x)| for 0 <= x <= n_max, every index the iteration reads
+        if sum(map(abs, p)) * n_max ** max(d, 0) >= _FLOAT_LIMIT:
+            raise ComputationRefused(
+                f"the recurrence coefficients may leave float range before n_max {n_max}"
+            )
     warm = extend(rec, initial, min(n_max, rec.offset + L + 8))
     start = next((i for i, v in enumerate(warm) if v != 0), None)
     if start is None:
         raise ComputationRefused("sequence is identically zero on the warmup window")
     if any(v <= 0 for v in warm[start:]):
         raise ComputationRefused("growth extraction needs a positive sequence tail")
+    try:
+        floats = [float(v) for v in warm]
+    except OverflowError:
+        raise ComputationRefused("a warmup term is beyond float range") from None
+    if 0.0 in floats[start:]:
+        raise ComputationRefused("a warmup term is below float range")
 
-    logs = [math.log(float(v)) for v in warm[start:]]
-    window = [float(v) for v in warm[-L:]]
+    logs = [math.log(v) for v in floats[start:]]
+    window = floats[-L:]
     scale = 0.0  # ln of the factor divided out of the window
-    n = len(warm) - L
-    while len(logs) + start <= n_max:
-        top = n + L
-        lead = _poly_eval(ipolys[L], top)
-        if lead == 0:
-            raise LeadingCoefficientZero(top)
-        acc = 0.0
-        for i in range(L):
-            acc += float(_poly_eval(ipolys[i], n + i)) * window[i]
-        new = -acc / float(lead)
-        if new <= 0.0:
-            raise ComputationRefused(f"sequence stopped being positive at index {top}")
-        window = window[1:] + [new] if L > 1 else [new]
-        if new > _RESCALE_AT:
-            window = [w / new for w in window]
-            scale += math.log(new)
-            logs.append(scale)
-        else:
-            logs.append(math.log(new) + scale)
-        n += 1
+    top = len(warm) - 1
+    blocks = _poly_blocks(ipolys, len(warm) - L)
+    while top < n_max:
+        cols = [list(map(float, col[: n_max - top])) for col in next(blocks)]
+        for vals in zip(*cols):
+            top += 1
+            lead = vals[L]
+            if not lead:
+                raise LeadingCoefficientZero(top)
+            acc = 0.0
+            for v, w in zip(vals, window):
+                acc += v * w
+            new = -acc / lead
+            if new <= 0.0:
+                raise ComputationRefused(f"sequence stopped being positive at index {top}")
+            window = window[1:] + [new] if L > 1 else [new]
+            if new > _RESCALE_AT:
+                window = [w / new for w in window]
+                scale += math.log(new)
+                logs.append(scale)
+            else:
+                logs.append(math.log(new) + scale)
     return LogSequence(start, logs)
 
 

@@ -5,7 +5,10 @@ P_0..P_L (exact rationals, ascending degree) plus an offset s, and asserts
 
     P_L(n+L) f(n+L) + ... + P_1(n+1) f(n+1) + P_0(n) f(n) = 0
 
-for every n >= s. Guessing searches (order, degree) cells in lexicographic
+for every n >= s. Extension, verification and the float iteration of
+the asymptotics layer read the values P_i(n + i) of the denominator-cleared
+polynomials from one stepper, _poly_blocks, as exact integers found by
+forward differences. Guessing searches (order, degree) cells in lexicographic
 order, solves each cell's homogeneous linear system modulo 61-bit primes,
 reconstructs the rational kernel and certifies it exactly on the integer
 system, and accepts a candidate only if it verifies on every term not used
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import accumulate, chain, count, islice
 from math import gcd, isqrt, lcm
 
 from .errors import ComputationRefused, InputError, LeadingCoefficientZero
@@ -28,6 +31,40 @@ def _poly_eval(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def _poly_blocks(ipolys, n0: int):
+    """Blocks of the exact values P_i(n + i) of integer polynomials
+    P_0..P_L for n = n0, n0 + 1, ...: block k holds one column per
+    polynomial, with its values for n = n0 + 256k .. n0 + 256k + 255.
+
+    Each polynomial keeps its forward differences at the start of the
+    block, found once by Horner; every difference level of a block is the
+    running sum of the level above, so a value costs d big-int additions
+    in C for a degree-d polynomial. The generator never ends."""
+    states = []
+    for i, p in enumerate(ipolys):
+        p = p[: _poly_degree(p) + 1] or [0]
+        row = [_poly_eval(p, n0 + i + j) for j in range(len(p))]
+        diffs = []
+        while row:
+            diffs.append(row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
+        states.append(diffs)
+    while True:
+        block = []
+        for diffs in states:
+            col = [diffs[-1]] * 256
+            for k in range(len(diffs) - 2, -1, -1):
+                col = list(accumulate(col, initial=diffs[k]))
+                diffs[k] = col.pop()
+            block.append(col)
+        yield block
+
+
+def _poly_values(ipolys, n0: int):
+    """The tuples (P_0(n), ..., P_L(n + L)) for n = n0, n0 + 1, ..."""
+    return chain.from_iterable(zip(*block) for block in _poly_blocks(ipolys, n0))
 
 
 def _poly_degree(coeffs) -> int:
@@ -63,16 +100,6 @@ class PRecurrence:
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(_poly_degree(p) for p in self.polys)
-
-    def poly_value(self, i: int, x) -> Fraction:
-        return _poly_eval(self.polys[i], Fraction(x))
-
-    def relation_value(self, seq, n: int) -> Fraction:
-        """The left-hand side at index n; zero iff the relation holds."""
-        return sum(
-            (self.poly_value(i, n + i) * Fraction(seq[n + i]) for i in range(self.order + 1)),
-            Fraction(0),
-        )
 
     def normalized(self) -> "PRecurrence":
         """Clear denominators, remove integer content, and make the top
@@ -180,15 +207,21 @@ def extend(rec: PRecurrence, initial, upto: int) -> list[Fraction]:
         raise InputError(
             f"need at least {rec.offset + L} initial terms, got {len(seq)}"
         )
-    while len(seq) <= upto:
-        n = len(seq) - L
-        lead = rec.poly_value(L, n + L)
-        if lead == 0:
+    nums = [v.numerator for v in seq]
+    dens = [v.denominator for v in seq]
+    n = len(seq) - L
+    steps = _poly_values(rec.integer_polys(), n)
+    for *vals, lead in islice(steps, max(upto + 1 - len(seq), 0)):
+        if not lead:
             raise LeadingCoefficientZero(n + L)
-        acc = Fraction(0)
-        for i in range(L):
-            acc += rec.poly_value(i, n + i) * seq[n + i]
-        seq.append(-acc / lead)
+        # the relation over the lcm of the window's denominators, in integers
+        scale = lcm(*dens[n : n + L])
+        acc = sum(p * nums[x] * (scale // dens[x]) for p, x in zip(vals, range(n, n + L)))
+        new = Fraction(-acc, scale * lead)
+        seq.append(new)
+        nums.append(new.numerator)
+        dens.append(new.denominator)
+        n += 1
     return seq[: upto + 1]
 
 
@@ -210,10 +243,14 @@ class VerifyResult:
 def verify(rec: PRecurrence, seq) -> VerifyResult:
     """Check the relation exactly at every applicable index."""
     seq = [Fraction(v) for v in seq]
+    nums = [v.numerator for v in seq]
+    dens = [v.denominator for v in seq]
     L = rec.order
     checked = 0
-    for n in range(rec.offset, len(seq) - L):
-        if rec.relation_value(seq, n) != 0:
+    indices = range(rec.offset, len(seq) - L)
+    for n, vals in zip(indices, _poly_values(rec.integer_polys(), rec.offset)):
+        scale = lcm(*dens[n : n + L + 1])
+        if sum(p * nums[x] * (scale // dens[x]) for p, x in zip(vals, range(n, n + L + 1))):
             return VerifyResult(False, n, checked)
         checked += 1
     return VerifyResult(True, None, checked)

@@ -3,8 +3,8 @@
 TruncatedSeries stores a dense window of an exponential power series up to
 per-variable caps: the cell of exponent f holds the coefficient times
 prod_i f_i!, the tree count at f for a template EGF, and reading a cell
-divides by the factorials. Sums, products and square roots are exact on
-the window (every retained coefficient is that of the infinite series).
+divides by the factorials. The template EGFs below are exact on the
+window (every retained coefficient is that of the infinite series).
 
 The exponential generating function counting edge-rule assembly trees of a
 blown-up template (H, phi) is A(x) = 1 - sqrt(R) with
@@ -25,8 +25,7 @@ identity 2*R*dg/dx_p = (dR/dx_p)*g becomes an integer recurrence with one
 exact division per coefficient and O(#terms of R) work per coefficient
 (_sqrt_table); -T[f] is the tree count at f, and hgraph_egf stores it as
 it is. Before any work, a window's cost is estimated and refused over
-EGF_WORK_BUDGET. sqrt1, the general coefficient recurrence from g^2 = f,
-is kept as a reference.
+EGF_WORK_BUDGET.
 """
 
 from __future__ import annotations
@@ -137,45 +136,6 @@ class TruncatedSeries:
         for exp, v in self._cells():
             yield exp, Fraction(v, prod(fact[e] for e in exp))
 
-    def _require_compatible(self, other: "TruncatedSeries") -> None:
-        if not isinstance(other, TruncatedSeries):
-            raise InputError("expected a TruncatedSeries")
-        if self.caps != other.caps:
-            raise InputError(f"cap mismatch: {self.caps} vs {other.caps}")
-
-    def __add__(self, other):
-        self._require_compatible(other)
-        return TruncatedSeries(
-            self.caps, [a + b for a, b in zip(self._coeffs, other._coeffs)]
-        )
-
-    def __sub__(self, other):
-        self._require_compatible(other)
-        return TruncatedSeries(
-            self.caps, [a - b for a, b in zip(self._coeffs, other._coeffs)]
-        )
-
-    def __neg__(self):
-        return TruncatedSeries(self.caps, [-a for a in self._coeffs])
-
-    def scale(self, factor) -> "TruncatedSeries":
-        factor = Fraction(factor)
-        return TruncatedSeries(self.caps, [a * factor for a in self._coeffs])
-
-    def __mul__(self, other):
-        """EGF product: in stored values, the cell at h is the sum over
-        f + g = h of prod_i C(h_i, f_i) * self[f] * other[g]."""
-        self._require_compatible(other)
-        caps = self.caps
-        out = [0] * len(self._coeffs)
-        theirs = other._cells()
-        for ea, va in self._cells():
-            for eb, vb in theirs:
-                exp = tuple(a + b for a, b in zip(ea, eb))
-                if all(e <= c for e, c in zip(exp, caps)):
-                    out[self._index(exp)] += prod(map(comb, exp, ea)) * va * vb
-        return TruncatedSeries(caps, out)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncatedSeries)
@@ -195,45 +155,25 @@ class TruncatedSeries:
         ]
 
 
-def sqrt1(f: TruncatedSeries) -> TruncatedSeries:
-    """Square root with constant term 1, by the g^2 = f coefficient
-    recurrence of the EGF product in lexicographic order (no floating
-    point, no Newton). It solves by direct convolution, independently of
-    the first-order identity of _sqrt_table."""
-    if f._coeffs[0] != 1:
-        raise InputError("sqrt1 needs constant term 1")
-    g = TruncatedSeries(f.caps)
-    gc = g._coeffs
-    gc[0] = 1
-    for idx, exp in enumerate(f.exponents()):
-        if not idx:
-            continue
-        acc = 0
-        for d in product(*(range(e + 1) for e in exp)):
-            di = sum(e * s for e, s in zip(d, g._strides))
-            if 0 < di < idx:
-                acc += prod(map(comb, exp, d)) * gc[di] * gc[idx - di]
-        gc[idx] = Fraction(f._coeffs[idx] - acc) / 2
-    return g
-
-
 # Work budget of one EGF window, in the steps of _check_window_work; with
-# CPython 3.11 on a 2-vCPU virtual machine a window runs 5-9 million steps
-# per second, so an admitted window takes at most about 5 s. The tripartite
-# window at caps 66 (acceptance criterion 7) takes 9.0e6.
+# CPython 3.11 on a 2-vCPU virtual machine a window runs 10-21 million
+# steps per second, so an admitted window takes at most about 2.5 s. The
+# tripartite window at caps 66 (acceptance criterion 7) takes 1.4e7.
 EGF_WORK_BUDGET = 25_000_000
 
 
 def _check_window_work(caps, terms: int) -> None:
-    """Refuse a window whose estimated steps exceed EGF_WORK_BUDGET. Per
-    cell: one per radicand term of the recurrence, 20 for dividing the
-    cell by its factorials when it is read (`asmtree series` reads every
-    cell), and words^2/128 for the exact division and gcd of the cell's
-    coefficient, of at most about top*log2(top) bits (words of 64 bits),
-    top = sum(caps)."""
+    """Refuse a window whose estimated steps exceed EGF_WORK_BUDGET. The
+    cell coefficients have at most about top*log2(top) bits (words of 64
+    bits), top = sum(caps). Per cell: 1 + words/8 per radicand term of the
+    recurrence (a term multiplies and adds coefficients of that size, and
+    the pair terms of a clique-bit block carry large tree counts of their
+    own), 20 for dividing the cell by its factorials when it is read
+    (`asmtree series` reads every cell), and words^2/128 for the exact
+    division and gcd of the cell's coefficient."""
     top = sum(caps)
     words = top * top.bit_length() // 64
-    work = prod(c + 1 for c in caps) * (terms + 20 + words * words // 128)
+    work = prod(c + 1 for c in caps) * (terms * (8 + words) // 8 + 20 + words * words // 128)
     if work > EGF_WORK_BUDGET:
         raise ComputationRefused(
             f"EGF window {tuple(caps)} with {terms} radicand terms needs about "

@@ -1,14 +1,29 @@
 """Shared helpers: the fixed graph battery and oracle utilities."""
 
 import bisect
+import math
 import random
 from fractions import Fraction
-from itertools import permutations
-from math import lcm
+from itertools import permutations, product
+from math import comb, lcm, prod
 
 import pytest
 
-from asmtree import Graph, family, gluing_sequence_tree, is_connected_subset, spanning_trees
+from asmtree import (
+    ComputationRefused,
+    Graph,
+    InputError,
+    LeadingCoefficientZero,
+    LogSequence,
+    TruncatedSeries,
+    extend,
+    family,
+    gluing_sequence_tree,
+    is_connected_subset,
+    spanning_trees,
+)
+from asmtree.asymptotics import _RESCALE_AT
+from asmtree.recurrences import _poly_eval
 
 BATTERY_SEED = 20240810
 
@@ -160,3 +175,85 @@ def bareiss_nullspace(rows, ncols: int) -> list[list[Fraction]]:
             vec[pc] = -acc / m[i][pc]
         basis.append(vec)
     return basis
+
+
+def _same_caps(a: TruncatedSeries, b: TruncatedSeries) -> None:
+    if a.caps != b.caps:
+        raise InputError(f"cap mismatch: {a.caps} vs {b.caps}")
+
+
+def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    _same_caps(a, b)
+    return TruncatedSeries(a.caps, [x + y for x, y in zip(a._coeffs, b._coeffs)])
+
+
+def series_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    _same_caps(a, b)
+    return TruncatedSeries(a.caps, [x - y for x, y in zip(a._coeffs, b._coeffs)])
+
+
+def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """EGF product: in stored values, the cell at h is the sum over
+    f + g = h of prod_i C(h_i, f_i) * a[f] * b[g]."""
+    _same_caps(a, b)
+    out = [0] * len(a._coeffs)
+    theirs = b._cells()
+    for ea, va in a._cells():
+        for eb, vb in theirs:
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            if all(e <= c for e, c in zip(exp, a.caps)):
+                out[a._index(exp)] += prod(map(comb, exp, ea)) * va * vb
+    return TruncatedSeries(a.caps, out)
+
+
+def sqrt1(f: TruncatedSeries) -> TruncatedSeries:
+    """Reference for `series._sqrt_table`: the square root with constant
+    term 1, by the g^2 = f coefficient recurrence of the EGF product in
+    lexicographic order. It solves by direct convolution, independently of
+    the first-order identity the integer engine uses."""
+    if f._coeffs[0] != 1:
+        raise InputError("sqrt1 needs constant term 1")
+    g = TruncatedSeries(f.caps)
+    gc = g._coeffs
+    gc[0] = 1
+    for idx, exp in enumerate(f.exponents()):
+        if not idx:
+            continue
+        acc = 0
+        for d in product(*(range(e + 1) for e in exp)):
+            di = sum(e * s for e, s in zip(d, g._strides))
+            if 0 < di < idx:
+                acc += prod(map(comb, exp, d)) * gc[di] * gc[idx - di]
+        gc[idx] = Fraction(f._coeffs[idx] - acc) / 2
+    return g
+
+
+def log_sequence_reference(rec, initial, n_max: int) -> LogSequence:
+    """Reference for `asymptotics.log_sequence` on admitted inputs: the
+    same float iteration, with every coefficient value found by Horner's
+    rule on the integer polynomials at its own index."""
+    L = rec.order
+    ipolys = rec.integer_polys()
+    warm = extend(rec, initial, min(n_max, rec.offset + L + 8))
+    start = next(i for i, v in enumerate(warm) if v != 0)
+    logs = [math.log(float(v)) for v in warm[start:]]
+    window = [float(v) for v in warm[-L:]]
+    scale = 0.0
+    for n in range(len(warm) - L, n_max - L + 1):
+        lead = _poly_eval(ipolys[L], n + L)
+        if lead == 0:
+            raise LeadingCoefficientZero(n + L)
+        acc = 0.0
+        for i in range(L):
+            acc += float(_poly_eval(ipolys[i], n + i)) * window[i]
+        new = -acc / float(lead)
+        if new <= 0.0:
+            raise ComputationRefused(f"sequence stopped being positive at index {n + L}")
+        window = window[1:] + [new] if L > 1 else [new]
+        if new > _RESCALE_AT:
+            window = [w / new for w in window]
+            scale += math.log(new)
+            logs.append(scale)
+        else:
+            logs.append(math.log(new) + scale)
+    return LogSequence(start, logs)

@@ -2,10 +2,12 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from conftest import log_sequence_reference
 
 from asmtree import (
     ComputationRefused,
     InputError,
+    LeadingCoefficientZero,
     LogSequence,
     NoConvergentExponent,
     PRecurrence,
@@ -140,3 +142,48 @@ def test_iteration_budget_refuses_before_the_warmup(monkeypatch):
             estimate_lambda(rec, init, n_max)
     # n_max 10^5 (acceptance criterion 8) stays admitted for every builtin
     assert 10**5 * sum(d + 1 for d in c.degrees()) <= asymptotics.ITERATION_WORK_BUDGET
+
+
+@pytest.mark.parametrize(
+    "name, initial",
+    [("a", [0, 1]), ("b", [0, 1, F(5, 2)]), ("c", [0, 3, 84, 4935])],
+)
+def test_log_sequence_matches_horner_reference(name, initial):
+    data = log_sequence(builtin(name), initial, 3000)
+    want = log_sequence_reference(builtin(name), initial, 3000)
+    assert data.start == want.start
+    assert data.logs == want.logs  # bit for bit
+
+
+def test_log_sequence_reports_leading_zero_past_the_first_block():
+    rec = PRecurrence([[701, -1], [-700, 1]], 0)  # lead t - 700
+    with pytest.raises(LeadingCoefficientZero) as info:
+        log_sequence(rec, [1], 1000)
+    assert info.value.index == 700
+    # the zero lies just past n_max, inside the last block of values
+    data = log_sequence(rec, [1], 699)
+    assert data.logs == log_sequence_reference(rec, [1], 699).logs
+    assert math.isclose(data.log_at(699), math.log(701 * 700 / 2), rel_tol=1e-12)
+
+
+BIG = 10**400
+
+
+# (t^150 + 1) f(n + 1) = (n^150 + 2) f(n): positive, but its coefficient
+# values leave float range from about n = 112 on
+STEEP = PRecurrence([[-2] + [0] * 149 + [-1], [1] + [0] * 149 + [1]], 0)
+
+
+@pytest.mark.parametrize(
+    "rec, initial, n_max",
+    [
+        (PRecurrence([[-BIG], [1]], 0), [1], 100),  # terms overflow in the warmup
+        (builtin("a"), [0, BIG], 100),  # an initial term overflows
+        (builtin("a"), [0, F(1, BIG)], 100),  # a positive term rounds to 0.0
+        (PRecurrence([[F(-1, BIG)], [1]], 0), [1], 100),  # the lead overflows
+        (STEEP, [1], 1000),
+    ],
+)
+def test_log_sequence_refuses_values_beyond_float_range(rec, initial, n_max):
+    with pytest.raises(ComputationRefused):
+        log_sequence(rec, initial, n_max)

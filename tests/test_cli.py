@@ -472,3 +472,21 @@ def test_over_budget_runs_exit_1_at_once(capsys, tmp_path):
         assert time.perf_counter() - t0 < 1.0
         assert code == 1 and out == ""
         assert err.startswith("refused:") and err.count("\n") == 1
+
+
+BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "rec, init",
+    [
+        ('{"polys": [["-' + BIG + '"], ["1"]]}', "1"),
+        ("builtin:a", "0," + BIG),
+        ('{"polys": [["-1/' + BIG + '"], ["1"]]}', "1"),
+    ],
+    ids=["terms-overflow", "initial-overflows", "lead-overflows"],
+)
+def test_asymptotics_beyond_float_range_exit_1(capsys, rec, init):
+    code, out, err = run_cli(capsys, "asymptotics", "--rec", rec, "--init", init, "--n-max", "100")
+    assert code == 1 and out == ""
+    assert err.startswith("refused:") and err.count("\n") == 1

@@ -287,15 +287,19 @@ def test_fuzz_table(argv):
     _run(argv)
 
 
-def _path_corner(phi):
-    """The slowest diagonal per step: the 3-vertex path template with clique
-    bits on both leaves, at its largest admitted --upto."""
-    return ["diagonal", "--hgraph", _hgraph_json((3, [[0, 1], [1, 2]], phi, [1, 1, 1])), "--upto", "29"]
+def _path_corner(phi, upto):
+    """A diagonal of the 3-vertex path template, whose clique-bit leaves make
+    the slowest windows per cell."""
+    return ["diagonal", "--hgraph", _hgraph_json((3, [[0, 1], [1, 2]], phi, [1, 1, 1])), "--upto", str(upto)]
 
 
 @FUZZ
-@example(_path_corner([1, 0, 1]))
-@example(_path_corner([1, 1, 1]))
+# clique bits on both leaves, at their largest admitted --upto
+@example(_path_corner([1, 0, 1], 25))
+@example(_path_corner([1, 1, 1], 25))
+# one clique leaf: the largest admitted --upto, and a refused one
+@example(_path_corner([0, 0, 1], 49))
+@example(_path_corner([0, 0, 1], 63))
 @given(
     _command(
         st.tuples(_templates(3), _sizes(list(range(61)) + HUGE)).map(
@@ -341,7 +345,18 @@ def test_fuzz_guess_rec(tmp_path_factory, seq, argv):
     _run(_with_seq_file(tmp_path_factory, argv, seq))
 
 
+def _asymptotics_example(rec, init):
+    return ["asymptotics", "--rec", rec, "--init", init, "--n-max", "100"]
+
+
+BIG = "1" + "0" * 400
+
+
 @FUZZ
+# terms, an initial term and a coefficient value beyond float range
+@example(_asymptotics_example(json.dumps({"polys": [["-" + BIG], ["1"]]}), "1"))
+@example(_asymptotics_example("builtin:a", "0," + BIG))
+@example(_asymptotics_example(json.dumps({"polys": [["-1/" + BIG], ["1"]]}), "1"))
 @given(
     _command(
         st.tuples(_recurrences(), _sizes([8, 9, 20, 2000] + HUGE)).map(

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction as F
+from itertools import islice
 from math import lcm
 
 import pytest
 from conftest import bareiss_nullspace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asmtree import (
     ComputationRefused,
@@ -56,6 +59,54 @@ def test_extend_reports_leading_zero():
     with pytest.raises(LeadingCoefficientZero) as info:
         extend(rec, [1], 6)
     assert info.value.index == 3
+
+
+# the lead (t - 700) vanishes at index 700, in the third block of 256 steps;
+# before it f(n + 1) = (701 - n)/(699 - n) f(n) stays positive
+LEAD_ZERO_AT_700 = PRecurrence([[701, -1], [-700, 1]], 0)
+
+
+def test_extend_reports_leading_zero_past_the_first_block():
+    with pytest.raises(LeadingCoefficientZero) as info:
+        extend(LEAD_ZERO_AT_700, [1], 1000)
+    assert info.value.index == 700
+    # the zero lies just past upto, inside the last block of values
+    seq = extend(LEAD_ZERO_AT_700, [1], 699)
+    assert seq[699] == F(701 * 700, 2)
+    assert verify(LEAD_ZERO_AT_700, seq).ok
+
+
+def _horner_steps(ipolys, n0: int, count: int):
+    return [
+        tuple(recurrences._poly_eval(p, n + i) for i, p in enumerate(ipolys))
+        for n in range(n0, n0 + count)
+    ]
+
+
+def _stepped(ipolys, n0: int, count: int):
+    return list(islice(recurrences._poly_values(ipolys, n0), count))
+
+
+STEPS = 3 * 256 + 7  # across three block boundaries
+
+
+@pytest.mark.parametrize(
+    "ipolys",
+    [[[5], [-3]], [[], [0, 0], [7]], builtin("c").integer_polys()],
+    ids=["constant", "zero", "builtin_c"],
+)
+def test_poly_values_match_horner(ipolys):
+    for n0 in (0, 1, 255, 4000):
+        assert _stepped(ipolys, n0, STEPS) == _horner_steps(ipolys, n0, STEPS)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-(10**12), 10**12), max_size=9), min_size=1, max_size=4),
+    st.integers(0, 10**6),
+)
+def test_poly_values_match_horner_on_random_polys(ipolys, n0):
+    assert _stepped(ipolys, n0, STEPS) == _horner_steps(ipolys, n0, STEPS)
 
 
 def test_verify_builtin_a_on_series_diagonal():
