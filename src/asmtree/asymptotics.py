@@ -79,7 +79,8 @@ def log_sequence(rec: PRecurrence, initial, n_max: int) -> LogSequence:
     floats with window rescaling. Leading-polynomial zeros are detected on
     the exact integer values and refused. Zero or sign-flipping tails are
     refused: growth extraction here targets eventually-positive sequences,
-    and so are warmup terms or coefficient values beyond float range.
+    and so are warmup terms, coefficient values or float steps beyond float
+    range.
     """
     L = rec.order
     if n_max < rec.offset + L + 2:
@@ -137,6 +138,9 @@ def log_sequence(rec: PRecurrence, initial, n_max: int) -> LogSequence:
                 logs.append(scale)
             else:
                 logs.append(math.log(new) + scale)
+        if not logs[-1] < math.inf:  # once a step overflows, inf or NaN stays
+            bad = next(i for i, x in enumerate(logs) if not x < math.inf)
+            raise ComputationRefused(f"a float step left float range at index {start + bad}")
     return LogSequence(start, logs)
 
 

@@ -13,11 +13,14 @@ blown-up template (H, phi) is A(x) = 1 - sqrt(R) with
 
 the last sum over unordered pairs of disjoint connected template vertex
 sets with no template edge between them, where A_U is the part of the EGF
-of the sub-template H[U] whose monomials use every variable of U. Counts
-are recovered as coefficient times the product of factorials. When H is
-complete multipartite and clique bits sit only on vertices adjacent to all
-others, every pair is two independent-block singletons and R is the
-quadratic 1 - 2*sum x_i + sum_{phi(i)=0} x_i^2 + 2*sum_{{i,j} not in E(H)} x_i x_j.
+of the sub-template H[U] whose monomials use every variable of U. The
+blow-ups of H with multiplicity 0 off U are those of H[U], so A_U is read
+from the EGF of H itself on the face of the window that zeroes every cap
+off U, and no sub-template is built. Counts are recovered as coefficient
+times the product of factorials. When H is complete multipartite and
+clique bits sit only on vertices adjacent to all others, every pair is two
+independent-block singletons and R is the quadratic
+1 - 2*sum x_i + sum_{phi(i)=0} x_i^2 + 2*sum_{{i,j} not in E(H)} x_i x_j.
 
 The template EGF is computed in integers. With T[f] = (prod f_i!)*g[f] for
 g = sqrt(R) and the scaled radicand (prod m_i!)*R[m], the first-order
@@ -35,7 +38,7 @@ from itertools import product
 from math import comb, prod
 
 from .errors import ComputationRefused, DisconnectedGraph, EngineError, InputError
-from .graphs import Graph, HSpec, is_connected_subset
+from .graphs import HSpec, is_connected_subset
 from .rationals import binom_half, format_rational, is_int
 
 
@@ -289,42 +292,21 @@ def _radicand_pairs(spec: HSpec, caps) -> list[tuple[int, int]]:
     return pairs
 
 
-def _block_vertices(spec: HSpec, block: int) -> list[int]:
-    return [v for v in range(spec.base.n) if block >> v & 1]
-
-
 def _block_size(spec: HSpec, caps, block: int) -> int:
     """Number of monomials of A_U in the window (see _block_counts)."""
-    verts = _block_vertices(spec, block)
-    if len(verts) == 1 and spec.phi[verts[0]] == 0:
+    if not block & block - 1 and spec.phi[block.bit_length() - 1] == 0:
         return 1
-    return prod(caps[v] for v in verts)
+    return prod(c for i, c in enumerate(caps) if block >> i & 1)
 
 
 def _block_counts(spec: HSpec, caps, block: int) -> dict:
-    """A_U as tree counts: the monomials of the EGF of the sub-template
-    induced on the connected vertex set `block` (a bitset) that use every
-    variable of the block, as exponents over all template variables,
-    mapped to (prod_i a_i!) * A_U[a]."""
-    base, phi = spec.base, spec.phi
-    verts = _block_vertices(spec, block)
-    if len(verts) == 1 and phi[verts[0]] == 0:
-        e = [0] * base.n
-        e[verts[0]] = 1
-        return {tuple(e): 1}
-    pos = {v: k for k, v in enumerate(verts)}
-    sub = HSpec(
-        Graph(len(verts), [(pos[u], pos[v]) for u, v in base.edges() if u in pos and v in pos]),
-        tuple(phi[v] for v in verts),
-    )
-    out = {}
-    for sub_exp, count in hgraph_egf(sub, tuple(caps[v] for v in verts))._cells():
-        if all(sub_exp):
-            e = [0] * base.n
-            for v, k in zip(verts, sub_exp):
-                e[v] = k
-            out[tuple(e)] = count
-    return out
+    """A_U as tree counts, read on the face of the window that zeroes every
+    cap off the connected vertex set `block` (a bitset): the blow-ups of H
+    with no vertex off U are those of H[U], so the cells of the face that
+    use every variable of U map exponents to (prod_i a_i!) * A_U[a]."""
+    face = tuple(c if block >> i & 1 else 0 for i, c in enumerate(caps))
+    return {e: c for e, c in hgraph_egf(spec, face)._cells()
+            if all(k or not block >> i & 1 for i, k in enumerate(e))}
 
 
 def _radicand_terms(spec: HSpec, caps, pairs) -> dict:
@@ -337,7 +319,8 @@ def _radicand_terms(spec: HSpec, caps, pairs) -> dict:
     two components: two vertices of one independent block (x_i^2, scaled
     2), or two disjoint connected vertex sets U, V of the template with no
     template edge between them (2*A_U*A_V, scaled 2*count_U*count_V; see
-    _block_counts and _radicand_pairs).
+    _radicand_pairs, and _block_counts, which reads A_U on a face of the
+    window).
     """
     n = spec.base.n
     terms: dict[tuple, int] = {(0,) * n: 1}
@@ -369,9 +352,10 @@ def hgraph_egf(spec: HSpec, caps) -> TruncatedSeries:
     When H is complete multipartite and every clique bit sits on a vertex
     adjacent to all others, R is the quadratic polynomial
     1 - 2*sum x_i + sum_{phi(i)=0} x_i^2 + 2*sum_{{i,j} not in E(H)} x_i x_j.
-    Elsewhere R carries the EGFs of sub-templates, computed recursively.
-    Raises ComputationRefused when the window is over EGF_WORK_BUDGET,
-    before any sub-template EGF is computed.
+    Elsewhere R carries the parts A_U, read recursively from this EGF on
+    faces of the window. Raises ComputationRefused when the window is over
+    EGF_WORK_BUDGET, before any face is computed; a face never estimates
+    more than its window (fewer cells, a subset of the pairs, smaller caps).
     """
     if not spec.base.is_connected():
         raise DisconnectedGraph("hgraph_egf needs a connected template graph")

@@ -23,18 +23,18 @@ anchored at the lowest vertex of the set it splits, so each unordered split
 is visited once. Only connected sets have trees, so the recurrence walks
 connected sets only, and grows the parts of each by MinCut branching, which
 visits only the splits the rule can use. The counters run it on the twin
-quotient: twins (vertices with equal open or equal closed neighbourhoods)
-are interchangeable, so a count depends only on how many vertices of each
-twin class a set holds. The enumerators run the same walk on explicit
-trees. The gluing route stays independent of anchored splits: it joins
-the trees of the two sides of the last edge of each spanning tree,
-memoised on subtrees. One work budget bounds all three, and each is
-metered as it goes.
+layout: twins (vertices with equal open or equal closed neighbourhoods)
+are interchangeable, so each class is a block of consecutive vertices, and
+a state holds the lowest vertices of each block. The enumerators run the
+same walk on explicit trees. The gluing
+route stays independent of anchored splits: it joins the trees of the two
+sides of the last edge of each spanning tree, memoised on subtrees. One
+work budget bounds all three, and each is metered as it goes.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, combinations, product
+from itertools import accumulate, chain, combinations
 from math import comb, factorial, prod
 
 from .errors import CapExceeded, ComputationRefused, DisconnectedGraph, InputError
@@ -70,9 +70,11 @@ class AssemblyTree:
         if children:
             union = 0
             for c in children:
+                if union & c.label:
+                    raise InputError("children must be pairwise disjoint")
                 union |= c.label
-            if union != label:
-                raise InputError("internal label must be the union of child labels")
+            if len(children) < 2 or union != label:
+                raise InputError("internal label must be the union of two or more child labels")
         elif label.bit_count() != 1:
             raise InputError("leaves must be single vertices")
         object.__setattr__(self, "label", label)
@@ -96,13 +98,12 @@ class AssemblyTree:
 
     def canonical_code(self) -> bytes:
         """Byte string equal for two trees iff they are label-preserving
-        isomorphic; children sort by (min vertex, label, code)."""
+        isomorphic; children are disjoint and sort by their min vertex."""
         code = self._code
         if code is None:
             if self.children:  # the lowest bit orders as the min vertex does
-                keyed = sorted([(c.label & -c.label, c.label, c.canonical_code())
-                                for c in self.children])
-                code = b"(" + b",".join([k[2] for k in keyed]) + b")"
+                ordered = sorted(self.children, key=lambda c: c.label & -c.label)
+                code = b"(" + b",".join([c.canonical_code() for c in ordered]) + b")"
             else:
                 code = b"%d" % self.min_vertex
             object.__setattr__(self, "_code", code)
@@ -121,14 +122,14 @@ class AssemblyTree:
 CanonicalCode = bytes
 
 
-def _twin_layout(g: Graph) -> tuple[tuple[int, ...], int, list[tuple[int, int]]]:
+def _twin_layout(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
     """Relabel g so that its twin classes are contiguous bit blocks.
 
     True twins have equal closed neighbourhoods, false twins equal open
     ones; a vertex with a true twin has no false twin, so the two
     relations never mix. One-vertex classes keep their order in the low
-    `ns` bits; every larger class follows as a block (offset, size), in
-    order of its lowest vertex. Returns (adjacency, ns, blocks).
+    bits; every larger class follows as a block (offset, size), in order
+    of its lowest vertex. Returns (adjacency, blocks).
     """
     closed: dict[int, list[int]] = {}
     open_: dict[int, list[int]] = {}
@@ -152,17 +153,17 @@ def _twin_layout(g: Graph) -> tuple[tuple[int, ...], int, list[tuple[int, int]]]
         perm[v] = i
     sizes = [len(cls) for cls in classes]
     blocks = list(zip(accumulate(sizes, initial=len(singles)), sizes))
-    return (g if perm == sorted(perm) else relabel(g, perm)).adj, len(singles), blocks
+    return (g if perm == sorted(perm) else relabel(g, perm)).adj, blocks
 
 
-def _grow(adj, anchor: int, whole: int, seconds: int, cut: bool):
+def _grow(adj, anchor: int, whole: int, later: int, cut: bool):
     """Yield (1, part, rest), a split of weight 1, for every connected part
     of `whole` that holds `anchor` and leaves a nonempty rest, a connected
-    one if `cut`. No part holds a bit of `seconds` without the bit below it.
+    one if `cut`. No part holds a bit of `later` without the bit below it.
 
     Binary branching as in MinCutBranch (Fender and Moerkotte, ICDE 2011):
-    a part grows by one neighbour x at a time and the later branches ban x,
-    so each part is reached once. Under `cut`, when taking x splits the
+    a part grows by one neighbour x at a time and the branches after it ban
+    x, so each part is reached once. Under `cut`, when taking x splits the
     rest, one branch per component that may stay absorbs the others.
     """
     stack = [(0, whole, 0, anchor)]  # the anchor is the first neighbour
@@ -170,7 +171,7 @@ def _grow(adj, anchor: int, whole: int, seconds: int, cut: bool):
         part, rest, banned, nb = stack.pop()
         if part:
             yield 1, part, rest
-        grow = nb & rest & ~banned & ~(seconds & ~(part << 1))
+        grow = nb & rest & ~banned & ~(later & ~(part << 1))
         while grow:
             x = grow & -grow
             grow ^= x
@@ -182,14 +183,14 @@ def _grow(adj, anchor: int, whole: int, seconds: int, cut: bool):
             elif left:
                 for c in _components(adj, left):
                     grown = part | x | left ^ c
-                    # a banned vertex stays in the rest; a second twin without
-                    # its first is skipped, as its mirror split is visited
-                    if not (banned & ~c or grown & seconds & ~(grown << 1)):
+                    # a banned vertex stays in the rest; a later twin without
+                    # the one below it is skipped, as its mirror split is visited
+                    if not (banned & ~c or grown & later & ~(grown << 1)):
                         stack.append((grown, c, banned, nb | reach | _neighbours(adj, left ^ c)))
             banned |= x
 
 
-def _splits(adj, u: int, blocks, seconds: int, cut: bool, cache: dict):
+def _splits(adj, u: int, blocks, later: int, cut: bool, cache: dict):
     """The (weight, part, rest) anchored splits of state u, found on its
     shape: the first two twins of each class in u. A class with its first
     twin in the part and its second in the rest is shared: j = 1..m-1 of
@@ -209,8 +210,8 @@ def _splits(adj, u: int, blocks, seconds: int, cut: bool, cache: dict):
                     for j in range(1, m)]
             shared.append((1 << o, (1 << m) - 1 << o, ways))
     if shape != u and shape not in cache:
-        cache[shape] = list(_grow(adj, anchor, shape, seconds, cut))
-    splits = cache[shape] if shape != u else _grow(adj, anchor, u, seconds, cut)
+        cache[shape] = list(_grow(adj, anchor, shape, later, cut))
+    splits = cache[shape] if shape != u else _grow(adj, anchor, u, later, cut)
     return (x for _, p, r in splits for x in _share(p, r, shared)) if shared else splits
 
 
@@ -225,36 +226,29 @@ def _share(part: int, rest: int, shared) -> list[tuple[int, int, int]]:
     return out
 
 
-def _walk(adj, ns: int, blocks, cut: bool):
-    """Yield (u, splits) for every connected state u, after its sub-states:
-    the connected sets of the class quotient, grown from each class over the
-    classes above it, at every twin multiplicity (a lone class of two or
-    more false twins is not connected)."""
-    low = (1 << ns) - 1
-    reps = [*range(ns), *(o for o, _ in blocks)]
-    quotient = [adj[v] & low | sum(1 << ns + b for b, (o, _) in enumerate(blocks)
-                                   if adj[v] >> o & 1) for v in reps]
-    seconds = sum(2 << o for o, _ in blocks)
-    last_first = list(enumerate(blocks))[::-1]
+def _walk(adj, blocks, cut: bool):
+    """Yield (u, splits) for every connected state u, after its sub-states.
+    A state holds the lowest m_i twins of each block i: `later` masks every
+    twin but the first of its block, and a later twin joins only after the
+    one below it. The states with lowest vertex v are the parts that _grow
+    yields from v over the vertices above it, then those vertices all
+    together when they are connected. v runs from the top down, and _grow
+    yields a part after its sub-parts (a branch that bans what an earlier
+    one takes runs first), so nothing is sorted or held."""
+    later = sum((1 << k) - 2 << o for o, k in blocks)
     cache: dict[int, list] = {}
-    for v in reversed(range(len(reps))):
-        above = (1 << len(reps)) - (1 << v)
-        whole = [above] if _component(quotient, above, above) == above else []
-        # a sub-state has a smaller class set, which _grow yields first (a
-        # later branch bans what an earlier one takes, and runs first), or
-        # the same one with no more twins of each class (the last block
-        # varies slowest), so nothing is sorted or held
-        for q in chain((q for _, q, _ in _grow(quotient, 1 << v, above, 0, False)), whole):
-            tops = [(o, 1 if q == 1 << ns + b and not adj[o] >> o + 1 & 1 else k)
-                    for b, (o, k) in last_first if q >> ns + b & 1]
-            for ms in product(*(range(1, k + 1) for _, k in tops)):
-                u = q & low | sum((1 << m) - 1 << o for (o, _), m in zip(tops, ms))
-                yield u, _splits(adj, u, blocks, seconds, cut, cache)
+    for v in reversed(range(len(adj))):
+        if later >> v & 1:
+            continue
+        above = (1 << len(adj)) - (1 << v)
+        whole = [above] if _component(adj, above, above) == above else []
+        for u in chain((p for _, p, _ in _grow(adj, 1 << v, above, later, False)), whole):
+            yield u, _splits(adj, u, blocks, later, cut, cache)
 
 
 def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
     """Assembly trees of g under either rule, by one convolution over the
-    connected states of the twin quotient (vertex sets that hold the lowest
+    connected states of the twin layout (vertex sets that hold the lowest
     m_i vertices of each twin block i): a(u) = sum w·a(s)·X(u - s) over the
     splits of _splits, where an absent, disconnected state reads as 0. The
     edge rule takes X = a. The connected rule takes X = P, the weighted
@@ -264,8 +258,8 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
     labels of g when its twin classes are contiguous blocks.
     """
     _check_countable(g, what)
-    adj, ns, blocks = _twin_layout(g)
-    classes = ns + len(blocks)
+    adj, blocks = _twin_layout(g)
+    classes = g.n - sum(k - 1 for _, k in blocks)
     need = f"{what}: {g.n} vertices in {classes} twin classes need"
     # no connected graph on c classes has fewer useful splits than the path
     if comb(classes + 1, 3) > TREE_WORK_BUDGET:
@@ -273,7 +267,7 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
             f"{need} C({classes + 1}, 3) splits, over the cap {TREE_WORK_BUDGET:.2g}")
     a: dict[int, int] = {}
     work = 0
-    for u, splits in _walk(adj, ns, blocks, not connected_rule):
+    for u, splits in _walk(adj, blocks, not connected_rule):
         total = count = 0  # count: the counts that the splits multiply
         for w, s, r in splits:
             x = a.get(r, 0)
@@ -315,7 +309,7 @@ def _trees_by_subset(g: Graph, connected_rule: bool) -> dict[int, list[AssemblyT
     trees: dict[int, list[AssemblyTree]] = {}
     forests: dict[int, list[tuple[AssemblyTree, ...]]] = {}
     work = 0
-    for u, splits in _walk(g.adj, g.n, (), not connected_rule):
+    for u, splits in _walk(g.adj, (), not connected_rule):
         joins = []
         for _, s, r in splits:
             cs = list(_components(g.adj, r))

@@ -187,3 +187,13 @@ STEEP = PRecurrence([[-2] + [0] * 149 + [-1], [1] + [0] * 149 + [1]], 0)
 def test_log_sequence_refuses_values_beyond_float_range(rec, initial, n_max):
     with pytest.raises(ComputationRefused):
         log_sequence(rec, initial, n_max)
+
+
+def test_log_sequence_refuses_a_float_step_that_overflows():
+    # f(n + 1) = n^50 f(n): the warmup ends at 9!^50, about 10^277, and the
+    # next step overflows instead of going on as inf and NaN
+    rec = PRecurrence([[0] * 50 + [-1], [1]], 1)
+    with pytest.raises(ComputationRefused, match="float range at index 11"):
+        log_sequence(rec, [0, 1], 1000)
+    with pytest.raises(ComputationRefused, match="float range"):
+        estimate_lambda(rec, [0, 1], 1000)

@@ -490,3 +490,11 @@ def test_asymptotics_beyond_float_range_exit_1(capsys, rec, init):
     code, out, err = run_cli(capsys, "asymptotics", "--rec", rec, "--init", init, "--n-max", "100")
     assert code == 1 and out == ""
     assert err.startswith("refused:") and err.count("\n") == 1
+
+
+def test_asymptotics_refuses_a_float_step_that_overflows(capsys):
+    # f(n + 1) = n^50 f(n) overflows at index 11, right after the warmup
+    rec = json.dumps({"order": 1, "offset": 1, "polys": [[0] * 50 + [-1], [1]]})
+    code, out, err = run_cli(capsys, "asymptotics", "--rec", rec, "--init", "0,1", "--n-max", "1000")
+    assert code == 1 and out == ""
+    assert err == "refused: a float step left float range at index 11\n"

@@ -36,6 +36,7 @@ from asmtree import (
     trees_from_gluing_sequences,
 )
 from asmtree import trees
+from asmtree.graphs import _connected_mask
 
 KNOWN_EDGE_COUNTS = [
     ("path", [4], 5),
@@ -268,6 +269,15 @@ def test_assembly_tree_validation():
         AssemblyTree(0b11)  # a leaf must be a single vertex
     with pytest.raises(InputError):
         AssemblyTree(0b111, (AssemblyTree.leaf(0), AssemblyTree.leaf(1)))
+    pair = AssemblyTree(0b11, (AssemblyTree.leaf(0), AssemblyTree.leaf(1)))
+    with pytest.raises(InputError, match="disjoint"):  # children overlap on vertex 1
+        AssemblyTree(0b111, (pair, AssemblyTree(0b110, (AssemblyTree.leaf(1), AssemblyTree.leaf(2)))))
+    with pytest.raises(InputError):  # one child
+        AssemblyTree(0b11, (pair,))
+    # sorting children by their lowest vertex alone gives the same code
+    mixed = AssemblyTree(0b1111, (AssemblyTree(0b1010, (AssemblyTree.leaf(3), AssemblyTree.leaf(1))),
+                                  AssemblyTree.leaf(2), AssemblyTree.leaf(0)))
+    assert mixed.canonical_code() == b"(0,(1,3),2)"
 
 
 def test_catalan_convolution_for_paths():
@@ -594,3 +604,26 @@ def test_core_matches_closed_forms_and_pins_on_twin_free_graphs():
         for _ in range(3):
             g = relabel(Graph(15, edges), random_permutation(rng, 15))
             assert count_edge_rule(g) == want
+
+
+@pytest.mark.parametrize("g", [
+    family("complete_multipartite", [3, 3]),
+    build_h_graph(HSpec(family("path", [3]), (1, 0, 1), (2, 3, 2))),
+    Graph(9, [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5), (4, 6), (5, 7), (5, 8)]),  # cherries
+    # 0, 1 are true twins and 3, 4 false twins, the top block of the layout
+    Graph(6, [(0, 1), (0, 2), (1, 2), (2, 5), (0, 3), (0, 4), (1, 3), (1, 4)]),
+], ids=["K33", "path_template", "cherries", "lone_false_twins"])
+def test_walk_yields_each_connected_state_after_its_sub_states(g):
+    # the states are the connected vertex sets of the twin layout that hold
+    # no twin without the ones below it in its block
+    adj, blocks = trees._twin_layout(g)
+    later = sum((1 << k) - 2 << o for o, k in blocks)
+    states = {u for u in range(1, 1 << g.n)
+              if not u & later & ~(u << 1) and _connected_mask(adj, u)}
+    for cut in (False, True):
+        seen = set()
+        for u, _ in trees._walk(adj, blocks, cut):
+            assert u not in seen and u in states, bin(u)
+            assert all(s in seen for s in states if s & u == s != u), bin(u)
+            seen.add(u)
+        assert seen == states
