@@ -50,6 +50,16 @@ def _neighbours(adj, mask: int) -> int:
     return nb
 
 
+def _mapped(perm, mask: int) -> int:
+    """The image of a vertex mask under the vertex permutation perm."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _component(adj, mask: int, goal: int) -> int:
     """The component of the lowest vertex of `goal` in the graph that `mask`
     induces, grown only until it covers `goal`."""

@@ -25,11 +25,15 @@ connected sets only, and grows the parts of each by MinCut branching, which
 visits only the splits the rule can use. The counters run it on the twin
 layout: twins (vertices with equal open or equal closed neighbourhoods)
 are interchangeable, so each class is a block of consecutive vertices, and
-a state holds the lowest vertices of each block. The enumerators run the
-same walk on explicit trees. The gluing
-route stays independent of anchored splits: it joins the trees of the two
-sides of the last edge of each spanning tree, memoised on subtrees. One
-work budget bounds all three, and each is metered as it goes.
+a state holds the lowest vertices of each block. They also count on
+orbits: an automorphism of the twin quotient that keeps each class's size
+and twin type, lifted so that twin j of a block goes to twin j of its
+image, maps each state to a state with the same count, so the splits of
+one state per orbit are enough. The enumerators run the same walk on
+explicit trees. The gluing route stays independent of anchored splits: it
+joins the trees of the two sides of the last edge of each spanning tree,
+memoised on subtrees. One work budget bounds all three, and each is
+metered as it goes.
 """
 
 from __future__ import annotations
@@ -38,13 +42,15 @@ from itertools import accumulate, chain, combinations
 from math import comb, factorial, prod
 
 from .errors import CapExceeded, ComputationRefused, DisconnectedGraph, InputError
-from .graphs import Graph, _component, _components, _neighbours, relabel
+from .graphs import Graph, _component, _components, _mapped, _neighbours
 from .rationals import is_int
+from .symmetry import fill_orbit, layout_automorphisms
 
 # A unit of tree work is one count that a split multiplies (more for counts
-# of many words, see _count_trees), one tree or forest enumerated, one edge
-# subset or a quarter of a gluing join. CPython 3.11 on a 2-vCPU machine runs
-# 0.4-1 million units per second, so refusals take under 3 s.
+# of many words, see _count_trees), one generator applied to a state, one
+# cell examined in the search for them, one tree or forest enumerated, one
+# edge subset or a quarter of a gluing join. CPython 3.11 on a 2-vCPU
+# machine runs 0.4-1 million units per second, so refusals take under 3 s.
 TREE_WORK_BUDGET = 1_000_000
 
 
@@ -148,12 +154,18 @@ def _twin_layout(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
             singles.append(v)
         else:
             classes.append(cls)
-    perm = [0] * g.n
-    for i, v in enumerate(singles + [v for cls in classes for v in cls]):
-        perm[v] = i
     sizes = [len(cls) for cls in classes]
     blocks = list(zip(accumulate(sizes, initial=len(singles)), sizes))
-    return (g if perm == sorted(perm) else relabel(g, perm)).adj, blocks
+    order = singles + [v for cls in classes for v in cls]
+    if order == sorted(order):
+        return g.adj, blocks
+    perm = [0] * g.n
+    for i, v in enumerate(order):
+        perm[v] = i
+    adj = [0] * g.n
+    for v, nb in enumerate(g.adj):
+        adj[perm[v]] = _mapped(perm, nb)
+    return tuple(adj), blocks
 
 
 def _grow(adj, anchor: int, whole: int, later: int, cut: bool):
@@ -177,8 +189,10 @@ def _grow(adj, anchor: int, whole: int, later: int, cut: bool):
             grow ^= x
             left = rest ^ x
             reach = adj[x.bit_length() - 1]
-            touch = reach & left  # each component of the rest holds one of these
-            if left and (not cut or _component(adj, left, touch) & touch == touch):
+            # each component of the rest holds one of these, so one is enough
+            touch = reach & left
+            if left and (not cut or not touch & touch - 1
+                         or _component(adj, left, touch) & touch == touch):
                 stack.append((part | x, left, banned, nb | reach))
             elif left:
                 for c in _components(adj, left):
@@ -226,15 +240,16 @@ def _share(part: int, rest: int, shared) -> list[tuple[int, int, int]]:
     return out
 
 
-def _walk(adj, blocks, cut: bool):
-    """Yield (u, splits) for every connected state u, after its sub-states.
-    A state holds the lowest m_i twins of each block i: `later` masks every
-    twin but the first of its block, and a later twin joins only after the
-    one below it. The states with lowest vertex v are the parts that _grow
-    yields from v over the vertices above it, then those vertices all
-    together when they are connected. v runs from the top down, and _grow
-    yields a part after its sub-parts (a branch that bans what an earlier
-    one takes runs first), so nothing is sorted or held."""
+def _walk(adj, blocks, cut: bool, done=()):
+    """Yield (u, splits) for every connected state u not in `done`, after
+    its sub-states. A state holds the lowest m_i twins of each block i:
+    `later` masks every twin but the first of its block, and a later twin
+    joins only after the one below it. The states with lowest vertex v are
+    the parts that _grow yields from v over the vertices above it, then
+    those vertices all together when they are connected. v runs from the
+    top down, and _grow yields a part after its sub-parts (a branch that
+    bans what an earlier one takes runs first), so nothing is sorted or
+    held. The splits of a state in `done` are never built."""
     later = sum((1 << k) - 2 << o for o, k in blocks)
     cache: dict[int, list] = {}
     for v in reversed(range(len(adj))):
@@ -243,7 +258,8 @@ def _walk(adj, blocks, cut: bool):
         above = (1 << len(adj)) - (1 << v)
         whole = [above] if _component(adj, above, above) == above else []
         for u in chain((p for _, p, _ in _grow(adj, 1 << v, above, later, False)), whole):
-            yield u, _splits(adj, u, blocks, later, cut, cache)
+            if u not in done:
+                yield u, _splits(adj, u, blocks, later, cut, cache)
 
 
 def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
@@ -256,18 +272,29 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
     of u - s, with P(c) = a(c) + conv(c, P) = 2·a(c), or 1 on one vertex.
     Returns a, keyed by the states of the twin layout, which keeps the
     labels of g when its twin classes are contiguous blocks.
+
+    Orbits: generators of the automorphisms of the twin quotient, lifted to
+    the layout, are found first (symmetry.layout_automorphisms), their
+    search charged to the budget. A state not yet in a is counted from its
+    splits, and its count goes to every state of its orbit, the closure of
+    {u} under the generators; the walk then skips those states without
+    building their splits, so a holds every connected state. Each generator
+    applied to a state of an orbit costs one unit. An asymmetric twin
+    quotient, separated by refinement alone, has no generators.
     """
     _check_countable(g, what)
     adj, blocks = _twin_layout(g)
     classes = g.n - sum(k - 1 for _, k in blocks)
     need = f"{what}: {g.n} vertices in {classes} twin classes need"
-    # no connected graph on c classes has fewer useful splits than the path
+    # no connected graph on c classes has fewer useful splits than the path,
+    # though orbits may spare most of them: this refuses C_182 at once
     if comb(classes + 1, 3) > TREE_WORK_BUDGET:
         raise CapExceeded(
             f"{need} C({classes + 1}, 3) splits, over the cap {TREE_WORK_BUDGET:.2g}")
+    gens, work = layout_automorphisms(adj, blocks, TREE_WORK_BUDGET)
+    _check_work(work, need)
     a: dict[int, int] = {}
-    work = 0
-    for u, splits in _walk(adj, blocks, not connected_rule):
+    for u, splits in _walk(adj, blocks, not connected_rule, a):
         total = count = 0  # count: the counts that the splits multiply
         for w, s, r in splits:
             x = a.get(r, 0)
@@ -281,11 +308,13 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
                         count += 1
             total += w * a.get(s, 0) * x
             count += 2
-        a[u] = total if u & u - 1 else 1
+        a[u] = total = total if u & u - 1 else 1
         # a unit is one count multiplied, or one word of a stored state; a
         # count of w words costs w^2/1024 more (the total bounds w), as
         # big-integer products dominate there
         work += (count + 1) * (1 + (total.bit_length() >> 6) ** 2 // 1024) + (u.bit_length() >> 6)
+        if gens:
+            work += fill_orbit(gens, u, a) * len(gens)
         _check_work(work, need)
     return a
 

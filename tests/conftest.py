@@ -58,6 +58,30 @@ def random_connected_graph(rng: random.Random, n: int, extra: int) -> Graph:
     return Graph(n, edges)
 
 
+def _polyhedra() -> dict[str, Graph]:
+    """Symmetric twin-free graphs: four polyhedral skeletons, the Petersen
+    graph and the 4x4 grid."""
+    ico = [(0, i) for i in range(1, 6)] + [(11, i) for i in range(6, 11)]
+    dod = [(i, 5 + 2 * i) for i in range(5)] + [(6 + 2 * i, 15 + i) for i in range(5)]
+    for i in range(5):
+        ico += [(1 + i, 1 + (i + 1) % 5), (6 + i, 6 + (i + 1) % 5),
+                (1 + i, 6 + i), (1 + i, 6 + (i + 1) % 5)]
+        dod += [(i, (i + 1) % 5), (15 + i, 15 + (i + 1) % 5)]
+    dod += [(5 + i, 5 + (i + 1) % 10) for i in range(10)]
+    return {
+        "cube": Graph(8, [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1]),
+        "petersen": Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                          + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]),
+        "icosahedron": Graph(12, ico),
+        "dodecahedron": Graph(20, dod),
+        "grid4x4": Graph(16, [(v, v + 1) for v in range(16) if v % 4 < 3]
+                         + [(v, v + 4) for v in range(12)]),
+    }
+
+
+POLYHEDRA = _polyhedra()
+
+
 def edge_battery() -> list[tuple[str, Graph]]:
     """The fixed, seeded battery of ~40 connected graphs on <= 8 vertices."""
     battery = []

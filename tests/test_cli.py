@@ -78,7 +78,7 @@ def test_count_requires_one_input_source(capsys):
 def test_cap_override_via_module_constant(capsys, monkeypatch):
     from asmtree import trees
 
-    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 40)  # P_6 costs 91 units
+    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 40)  # P_6 costs 108 units
     code, out, err = run_cli(capsys, "count", "--family", "path", "--n", "6")
     assert code == 1 and "cap" in err
 
@@ -289,10 +289,11 @@ def test_table_cells_are_the_states_of_one_count(capsys):
             assert rows[m - 1][n - m] == str(fresh), (m, n)
 
 
-def test_table_admits_max_36_and_refuses_37(capsys):
-    code, out, err = run_cli(capsys, "table", "--family", "bipartite", "--max", "36")
-    assert code == 0 and err == "" and len(json.loads(out)["rows"]) == 36
-    code, out, err = run_cli(capsys, "table", "--family", "bipartite", "--max", "37")
+def test_table_admits_max_43_and_refuses_44(capsys):
+    # the swap of the two sides of K_{m,m} halves the states that are counted
+    code, out, err = run_cli(capsys, "table", "--family", "bipartite", "--max", "43")
+    assert code == 0 and err == "" and len(json.loads(out)["rows"]) == 43
+    code, out, err = run_cli(capsys, "table", "--family", "bipartite", "--max", "44")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "units of work" in err
 

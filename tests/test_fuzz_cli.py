@@ -20,6 +20,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import POLYHEDRA
+
 from asmtree import closed_form
 from asmtree.cli import main
 
@@ -228,7 +230,28 @@ def test_fuzz_count(argv):
     _run(argv)
 
 
+def _family_count(name, n, rule):
+    return ["count", "--family", name, "--n", str(n), "--rule", rule]
+
+
+def _graph_count(name, rule):
+    g = POLYHEDRA[name]
+    return ["count", "--graph", json.dumps({"n": g.n, "edges": g.edges()}), "--rule", rule]
+
+
 @settings(FUZZ, max_examples=16)
+# symmetric graphs at the largest admitted sizes and the smallest refused
+# ones: star2(n) has n! automorphisms and C_n 2n; C_182 is refused at once
+@example(_family_count("star2", 10, "edge"))
+@example(_family_count("star2", 11, "edge"))
+@example(_family_count("star2", 9, "connected"))
+@example(_family_count("star2", 10, "connected"))
+@example(_family_count("cycle", 181, "edge"))
+@example(_family_count("cycle", 181, "connected"))
+@example(_family_count("cycle", 182, "connected"))
+@example(_graph_count("dodecahedron", "edge"))
+@example(_graph_count("dodecahedron", "connected"))
+@example(_graph_count("grid4x4", "connected"))
 @given(
     st.tuples(
         st.one_of(
@@ -275,6 +298,9 @@ def test_fuzz_enumerate(argv):
 
 
 @FUZZ
+# the largest admitted --max and the smallest refused one
+@example(["table", "--family", "bipartite", "--max", "43"])
+@example(["table", "--family", "bipartite", "--max", "44"])
 @given(
     _command(
         _sizes(list(range(1, 41)) + HUGE).map(lambda m: ["table", "--family", "bipartite", "--max", m]),

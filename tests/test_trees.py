@@ -4,6 +4,7 @@ import time
 
 import pytest
 from conftest import (
+    POLYHEDRA,
     gluing_reference,
     partition_dp,
     random_connected_graph,
@@ -36,7 +37,8 @@ from asmtree import (
     trees_from_gluing_sequences,
 )
 from asmtree import trees
-from asmtree.graphs import _connected_mask
+from asmtree.graphs import _connected_mask, _mapped
+from asmtree.symmetry import layout_automorphisms
 
 KNOWN_EDGE_COUNTS = [
     ("path", [4], 5),
@@ -69,8 +71,9 @@ def test_count_edge_rule_rejections():
 
 def test_work_budget_override(monkeypatch):
     # the budget is read at each call, so a patched constant takes effect:
-    # P_4 costs 30 units of work and P_5 costs 55
-    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 40)
+    # P_4 costs 44 units of work and P_5 costs 70, with the search for the
+    # mirror symmetry of each
+    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 50)
     with pytest.raises(CapExceeded, match="units of work"):
         count_edge_rule(family("path", [5]))
     assert count_edge_rule(family("path", [4])) == 5
@@ -515,7 +518,8 @@ def test_work_guard_is_keyed_to_the_twin_quotient(monkeypatch):
     assert count_edge_rule(family("cycle", [25])) == closed_form("cycle", 25)
     assert count_connected_rule(family("path", [25])) == _little_schroeder(24)
     assert count_connected_rule(family("cycle", [25])) == _connected_rule_cycle(25)
-    # a class of k twins has k states: K_5 costs 25 units and K_{3,3} 85
+    # a class of k twins has k states: K_5 costs 25 units and K_{3,3} 70,
+    # whose two classes are swapped by a symmetry
     monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 40)
     assert count_edge_rule(family("complete", [5])) == closed_form("complete", 5)
     assert count_connected_rule(family("complete", [5])) == 236
@@ -613,7 +617,7 @@ def test_core_matches_closed_forms_and_pins_on_twin_free_graphs():
     # 0, 1 are true twins and 3, 4 false twins, the top block of the layout
     Graph(6, [(0, 1), (0, 2), (1, 2), (2, 5), (0, 3), (0, 4), (1, 3), (1, 4)]),
 ], ids=["K33", "path_template", "cherries", "lone_false_twins"])
-def test_walk_yields_each_connected_state_after_its_sub_states(g):
+def test_walk_yields_each_connected_state_after_its_sub_states(g, monkeypatch):
     # the states are the connected vertex sets of the twin layout that hold
     # no twin without the ones below it in its block
     adj, blocks = trees._twin_layout(g)
@@ -627,3 +631,83 @@ def test_walk_yields_each_connected_state_after_its_sub_states(g):
             assert all(s in seen for s in states if s & u == s != u), bin(u)
             seen.add(u)
         assert seen == states
+
+    # a state already counted is skipped before its splits are built
+    def unreachable(*_):
+        raise AssertionError("splits built for a skipped state")
+
+    monkeypatch.setattr(trees, "_splits", unreachable)
+    assert list(trees._walk(adj, blocks, True, states)) == []
+
+
+# counts of the core at commit e7d15d4, before orbits, which enumerated the
+# splits of every state, run once with TREE_WORK_BUDGET raised to 10^12:
+# the dodecahedron took 24 s under the edge rule and 181 s under the
+# connected rule
+POLYHEDRA_COUNTS = {
+    "cube": (16584, 115337),
+    "petersen": (962280, 13717540),
+    "icosahedron": (514942260, 11794534196),
+    "grid4x4": (201466968418, 26830969298659),
+    "dodecahedron": (2641795244300430, 1465277149948649580),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLYHEDRA_COUNTS))
+def test_symmetric_graphs_match_the_core_without_orbits(name, monkeypatch):
+    g = POLYHEDRA[name]
+    edge, connected = POLYHEDRA_COUNTS[name]
+    t0 = time.perf_counter()
+    assert count_edge_rule(g) == edge
+    assert time.perf_counter() - t0 < 5.0
+    # relabelled, the orbits fall on other states
+    h = relabel(g, random_permutation(random.Random(name), g.n))
+    assert count_edge_rule(h) == edge
+    if name == "dodecahedron":
+        # 152,798 states in 1,420 orbits; the connected rule needs 2-3 million units
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceeded, match="units of work, the cap"):
+            count_connected_rule(g)
+        assert time.perf_counter() - t0 < 5.0
+        monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 3 * 10**6)
+    assert count_connected_rule(g) == connected
+
+
+def _group_order(perms: list[list[int]], n: int) -> int:
+    """The order of the group that perms generate: the product of the orbit
+    lengths of 0, 1, ... along its stabiliser chain, over its elements."""
+    group = {tuple(range(n))}
+    new = list(group)
+    while new:
+        new = [q for p in new for g in perms if (q := tuple(g[v] for v in p)) not in group]
+        group.update(new)
+    order, elements = 1, list(group)
+    for b in range(n):
+        order *= len({p[b] for p in elements})
+        elements = [p for p in elements if p[b] == b]
+    return order
+
+
+@pytest.mark.parametrize("g,order", [
+    (POLYHEDRA["cube"], 48),
+    (POLYHEDRA["petersen"], 120),
+    (POLYHEDRA["icosahedron"], 120),
+    (POLYHEDRA["dodecahedron"], 120),
+    (POLYHEDRA["grid4x4"], 8),
+    (family("star2", [7]), 5040),
+    (family("complete_multipartite", [4, 4, 4]), 6),  # its twin quotient is K_3
+    (relabel(Graph(15, R15[0][0]), random_permutation(random.Random(3), 15)), 1),
+], ids=["cube", "petersen", "icosahedron", "dodecahedron", "grid4x4", "star2_7", "K444", "R15"])
+def test_symmetries_generate_the_automorphism_group(g, order):
+    adj, blocks = trees._twin_layout(g)
+    tables, _ = layout_automorphisms(adj, blocks, trees.TREE_WORK_BUDGET)
+    # generator i maps vertex v to the one bit of tables[i][v // 8][1 << v % 8]
+    perms = [[ts[v >> 3][1 << (v & 7)].bit_length() - 1 for v in range(g.n)] for ts in tables]
+    for p in perms:
+        assert sorted(p) == list(range(g.n))
+        assert all(_mapped(p, adj[v]) == adj[p[v]] for v in range(g.n))
+        # twin j of a block goes to twin j of a block of the same size
+        for o, k in blocks:
+            assert (p[o], k) in blocks and p[o:o + k] == list(range(p[o], p[o] + k))
+    assert _group_order(perms, g.n) == order
+    assert order > 1 or tables == []
