@@ -155,7 +155,13 @@ def relabel(g: Graph, perm) -> Graph:
     perm = list(perm)
     if sorted(perm) != list(range(g.n)):
         raise InputError("relabel needs a permutation of 0..n-1")
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    adj = [0] * g.n
+    for v, nb in enumerate(g.adj):
+        adj[perm[v]] = _mapped(perm, nb)
+    h = object.__new__(Graph)
+    object.__setattr__(h, "n", g.n)
+    object.__setattr__(h, "adj", tuple(adj))
+    return h
 
 
 class HSpec:

@@ -154,11 +154,11 @@ def automorphisms(adj, cells: list[int], limit: int) -> tuple[list[list[int]], i
 def layout_automorphisms(adj, blocks, limit: int) -> tuple[list[list[list[int]]], int]:
     """Byte tables of generators of the automorphisms of a twin layout,
     whose one-vertex classes come first and whose larger classes are the
-    `blocks` (offset, size) above them, and the search's work, which stops
-    with no generators past `limit`. They are the automorphisms of the twin
-    quotient (one vertex per class) that keep each class's size and twin
-    type, lifted so that twin j of a block goes to twin j of its image, so
-    they map states to states. Generator g maps a vertex mask u to the
+    `blocks` (offset, size) above them, and the work of the search and of
+    the tables, which stops with no generators past `limit`. They are the
+    automorphisms of the twin quotient (one vertex per class) that keep
+    each class's size and twin type, lifted so that twin j of a block goes
+    to twin j of its image, so they map states to states. Generator g maps a vertex mask u to the
     union over i of g[i][u >> 8i & 255]."""
     n = len(adj)
     if blocks:
@@ -177,6 +177,12 @@ def layout_automorphisms(adj, blocks, limit: int) -> tuple[list[list[list[int]]]
     else:
         singles, qadj, cells = n, adj, [(1 << n) - 1]
     gens, work = automorphisms(qadj, cells, limit)
+    # a table entry is an n-bit int: one of w words costs w units, charged
+    # before any is built, so the budget bounds their memory too
+    entries = sum(1 << min(8, n - lo) for lo in range(0, n, 8))
+    work += len(gens) * entries * (1 + (n >> 6))
+    if work > limit:
+        return [], work
     tables = []
     for gen in gens:
         lift = gen[:singles]

@@ -42,15 +42,16 @@ from itertools import accumulate, chain, combinations
 from math import comb, factorial, prod
 
 from .errors import CapExceeded, ComputationRefused, DisconnectedGraph, InputError
-from .graphs import Graph, _component, _components, _mapped, _neighbours
+from .graphs import Graph, _component, _components, _neighbours, relabel
 from .rationals import is_int
 from .symmetry import fill_orbit, layout_automorphisms
 
 # A unit of tree work is one count that a split multiplies (more for counts
-# of many words, see _count_trees), one generator applied to a state, one
-# cell examined in the search for them, one tree or forest enumerated, one
-# edge subset or a quarter of a gluing join. CPython 3.11 on a 2-vCPU
-# machine runs 0.4-1 million units per second, so refusals take under 3 s.
+# of many words, see _count_trees), one cell examined in the search for
+# generators (their tables and applications cost more on many vertices),
+# one tree or forest enumerated, one edge subset or a quarter of a gluing
+# join. CPython 3.11 on a 2-vCPU machine runs 0.4-1 million units per
+# second, so refusals take under 3 s.
 TREE_WORK_BUDGET = 1_000_000
 
 
@@ -156,16 +157,10 @@ def _twin_layout(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
             classes.append(cls)
     sizes = [len(cls) for cls in classes]
     blocks = list(zip(accumulate(sizes, initial=len(singles)), sizes))
-    order = singles + [v for cls in classes for v in cls]
-    if order == sorted(order):
-        return g.adj, blocks
     perm = [0] * g.n
-    for i, v in enumerate(order):
+    for i, v in enumerate(singles + [v for cls in classes for v in cls]):
         perm[v] = i
-    adj = [0] * g.n
-    for v, nb in enumerate(g.adj):
-        adj[perm[v]] = _mapped(perm, nb)
-    return tuple(adj), blocks
+    return (g if perm == sorted(perm) else relabel(g, perm)).adj, blocks
 
 
 def _grow(adj, anchor: int, whole: int, later: int, cut: bool):
@@ -278,8 +273,10 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
     search charged to the budget. A state not yet in a is counted from its
     splits, and its count goes to every state of its orbit, the closure of
     {u} under the generators; the walk then skips those states without
-    building their splits, so a holds every connected state. Each generator
-    applied to a state of an orbit costs one unit. An asymmetric twin
+    building their splits, so a holds every connected state. The tables of
+    the generators are charged by their size before they are built, and
+    each generator applied to a state of an orbit by its n/8 byte lookups
+    and n/64 words: one unit up to 24 vertices. An asymmetric twin
     quotient, separated by refinement alone, has no generators.
     """
     _check_countable(g, what)
@@ -293,6 +290,10 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
             f"{need} C({classes + 1}, 3) splits, over the cap {TREE_WORK_BUDGET:.2g}")
     gens, work = layout_automorphisms(adj, blocks, TREE_WORK_BUDGET)
     _check_work(work, need)
+    # a generator applied to a state looks up each of its n/8 bytes and ORs
+    # images of n/64 words: a unit per 4 lookups or per 64 words ORed
+    words = 1 + (g.n >> 6)
+    step = len(gens) * (1 + ((g.n + 7) >> 3) * (16 + words) // 64)
     a: dict[int, int] = {}
     for u, splits in _walk(adj, blocks, not connected_rule, a):
         total = count = 0  # count: the counts that the splits multiply
@@ -314,7 +315,7 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
         # big-integer products dominate there
         work += (count + 1) * (1 + (total.bit_length() >> 6) ** 2 // 1024) + (u.bit_length() >> 6)
         if gens:
-            work += fill_orbit(gens, u, a) * len(gens)
+            work += fill_orbit(gens, u, a) * step
         _check_work(work, need)
     return a
 

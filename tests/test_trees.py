@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from conftest import (
@@ -71,9 +72,9 @@ def test_count_edge_rule_rejections():
 
 def test_work_budget_override(monkeypatch):
     # the budget is read at each call, so a patched constant takes effect:
-    # P_4 costs 44 units of work and P_5 costs 70, with the search for the
-    # mirror symmetry of each
-    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 50)
+    # P_4 costs 60 units of work and P_5 costs 102, with the search for the
+    # mirror symmetry of each and its table of 2^n entries
+    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 80)
     with pytest.raises(CapExceeded, match="units of work"):
         count_edge_rule(family("path", [5]))
     assert count_edge_rule(family("path", [4])) == 5
@@ -518,8 +519,8 @@ def test_work_guard_is_keyed_to_the_twin_quotient(monkeypatch):
     assert count_edge_rule(family("cycle", [25])) == closed_form("cycle", 25)
     assert count_connected_rule(family("path", [25])) == _little_schroeder(24)
     assert count_connected_rule(family("cycle", [25])) == _connected_rule_cycle(25)
-    # a class of k twins has k states: K_5 costs 25 units and K_{3,3} 70,
-    # whose two classes are swapped by a symmetry
+    # a class of k twins has k states: K_5 costs 25 units and K_{3,3} 134,
+    # whose two classes are swapped by a symmetry with a 64-entry table
     monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 40)
     assert count_edge_rule(family("complete", [5])) == closed_form("complete", 5)
     assert count_connected_rule(family("complete", [5])) == 236
@@ -671,6 +672,25 @@ def test_symmetric_graphs_match_the_core_without_orbits(name, monkeypatch):
         assert time.perf_counter() - t0 < 5.0
         monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 3 * 10**6)
     assert count_connected_rule(g) == connected
+
+
+@pytest.mark.parametrize("rule", [count_edge_rule, count_connected_rule])
+def test_symmetric_blowup_of_many_vertices_is_refused_before_its_tables(rule):
+    # C_181 with false-twin blocks of 30: 5,430 vertices in 181 classes,
+    # whose dihedral quotient has two generators; their byte tables would
+    # hold 347,648 ints of 5,430 bits, so their size is charged first
+    g = build_h_graph(HSpec(family("cycle", [181]), (0,) * 181, (30,) * 181))
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(CapExceeded, match="units of work, the cap") as info:
+            rule(g)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 5.0 and peak < 20 << 20
+    assert "\n" not in str(info.value)
 
 
 def _group_order(perms: list[list[int]], n: int) -> int:
