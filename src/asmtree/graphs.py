@@ -343,14 +343,14 @@ def hspec_from_json(data, require_mult: bool = False) -> HSpec:
     if not isinstance(inner, dict):
         raise InputError('"hgraph" must be an object')
     _check_keys(inner, ("H_edges", "phi"), ("mult",), what="hgraph")
-    phi = inner["phi"]
+    phi, edges, mult = inner["phi"], inner["H_edges"], inner.get("mult")
     if not isinstance(phi, list) or not phi:
         raise InputError('"phi" must be a non-empty list of bits')
-    base = Graph(len(phi), inner["H_edges"])
-    mult = inner.get("mult")
+    if not isinstance(edges, list) or not isinstance(mult, (list, type(None))):
+        raise InputError('"H_edges" must be a list of pairs, "mult" a list or absent')
     if require_mult and mult is None:
         raise InputError('"mult" is required to build a concrete graph')
-    return HSpec(base, phi, mult)
+    return HSpec(Graph(len(phi), edges), phi, mult)
 
 
 def graph_from_json(data) -> Graph:

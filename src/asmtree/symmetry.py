@@ -16,19 +16,22 @@ from __future__ import annotations
 from .graphs import _mapped, _neighbours
 
 
-def _refine(adj, cells: list[int], queue: list[int]) -> tuple[list[int], int]:
+def _refine(adj, cells: list[int], queue: list[int], work: int,
+            limit: int) -> tuple[list[int], int]:
     """Split the ordered cells (vertex masks) by their neighbours in each
     cell of `queue` until every vertex of a cell has as many neighbours in
     each cell as the others of its cell. A split cell's fragments take its
     place in order of their count, and all but its first largest fragment
     join the queue, since the counts into the cell give the counts into that
     one. So an automorphism that maps the cells and the queue onto
-    themselves maps the result onto itself. Returns the cells and the cells
-    examined."""
-    examined = 0
-    while queue and len(cells) < len(adj):
+    themselves maps the result onto itself. Each splitter adds to `work` the
+    cells it examines, a unit per cell and one more per 1,024 bits of a
+    mask, and refinement stops after the splitter that takes the work past
+    `limit`. Returns the cells and the work."""
+    cost = 1 + (len(adj) >> 10)
+    while queue and len(cells) < len(adj) and work <= limit:
         w = queue.pop()
-        examined += len(cells)
+        work += len(cells) * cost
         out = []
         if not w & w - 1:  # one vertex: a cell splits into non-neighbours, neighbours
             nb = adj[w.bit_length() - 1]
@@ -62,12 +65,13 @@ def _refine(adj, cells: list[int], queue: list[int]) -> tuple[list[int], int]:
             del parts[sizes.index(max(sizes))]
             queue += parts
         cells = out
-    return cells, examined
+    return cells, work
 
 
-def _individualise(adj, cells: list[int], i: int, v: int) -> tuple[list[int], int]:
+def _individualise(adj, cells: list[int], i: int, v: int, work: int,
+                   limit: int) -> tuple[list[int], int]:
     """Refine the cells after taking vertex mask v out of cell i, before it."""
-    return _refine(adj, cells[:i] + [v, cells[i] ^ v] + cells[i + 1:], [v])
+    return _refine(adj, cells[:i] + [v, cells[i] ^ v] + cells[i + 1:], [v], work, limit)
 
 
 def _orbits(gens: list[list[int]], mask: int) -> int:
@@ -85,9 +89,10 @@ def _orbits(gens: list[list[int]], mask: int) -> int:
 def automorphisms(adj, cells: list[int], limit: int) -> tuple[list[list[int]], int]:
     """Generators of the automorphisms of the graph `adj` that map each of
     the ordered `cells` (its colour classes) onto itself, as vertex
-    permutations, and the work done: the cells examined by refinement, one
-    unit per node and n per leaf. The search stops with no generators once
-    the work exceeds `limit`.
+    permutations, and the work done: the cells examined by refinement
+    (priced by _refine), one unit per node and n per leaf. Refinement checks
+    the work after each splitter, so the search stops, with no generators,
+    within one splitter past `limit`.
 
     The base is the sequence of vertices individualised on the first path.
     From the deepest base vertex v up, every w of v's cell outside the
@@ -101,14 +106,13 @@ def automorphisms(adj, cells: list[int], limit: int) -> tuple[list[list[int]], i
     A graph whose refinement alone separates every vertex has none.
     """
     n = len(adj)
-    cells, work = _refine(adj, cells, list(cells))
+    cells, work = _refine(adj, cells, list(cells), 0, limit)
     path = [cells]  # the first path; base[k] is individualised below path[k]
     base: list[tuple[int, int]] = []  # (index of its cell, vertex mask)
-    while len(cells) < n:
+    while len(cells) < n and work <= limit:
         i = next(i for i, x in enumerate(cells) if x & x - 1)
         base.append((i, cells[i] & -cells[i]))
-        cells, examined = _individualise(adj, cells, i, base[-1][1])
-        work += examined
+        cells, work = _individualise(adj, cells, i, base[-1][1], work, limit)
         path.append(cells)
     if not base or work > limit:
         return [], work
@@ -125,8 +129,7 @@ def automorphisms(adj, cells: list[int], limit: int) -> tuple[list[list[int]], i
             found = None
             while stack and found is None:
                 depth, cells, x = stack.pop()
-                cells, examined = _individualise(adj, cells, base[depth][0], x)
-                work += examined + 1
+                cells, work = _individualise(adj, cells, base[depth][0], x, work + 1, limit)
                 if work > limit:
                     return [], work
                 depth += 1
@@ -161,21 +164,19 @@ def layout_automorphisms(adj, blocks, limit: int) -> tuple[list[list[list[int]]]
     to twin j of its image, so they map states to states. Generator g maps a vertex mask u to the
     union over i of g[i][u >> 8i & 255]."""
     n = len(adj)
-    if blocks:
-        singles = blocks[0][0]
-        cls = list(range(singles)) + [singles + b for b, (_, k) in enumerate(blocks)
-                                      for _ in range(k)]
-        reps = list(range(singles)) + [o for o, _ in blocks]
-        qadj = [_mapped(cls, adj[r]) & ~(1 << i) for i, r in enumerate(reps)]
-        # a class's colour is its size and twin type: a true twin is
-        # adjacent to the one above it, a false twin is not
-        keys = [(1, 0)] * singles + [(k, adj[o] >> o + 1 & 1) for o, k in blocks]
-        colour: dict[tuple[int, int], int] = {}
-        for i, key in enumerate(keys):
-            colour[key] = colour.get(key, 0) | 1 << i
-        cells = [colour[key] for key in sorted(colour)]
-    else:
-        singles, qadj, cells = n, adj, [(1 << n) - 1]
+    singles = n - sum(k for _, k in blocks)
+    # a block's first twin stands for it, and it is not its own neighbour
+    cls = {o: singles + b for b, (o, _) in enumerate(blocks)}
+    firsts = sum(1 << o for o in cls)
+    reps = list(range(singles)) + list(cls)
+    qadj = [adj[r] & (1 << singles) - 1 | _mapped(cls, adj[r] & firsts) for r in reps]
+    # a class's colour is its size and twin type: a true twin is
+    # adjacent to the one above it, a false twin is not
+    keys = [(1, 0)] * singles + [(k, adj[o] >> o + 1 & 1) for o, k in blocks]
+    colour: dict[tuple[int, int], int] = {}
+    for i, key in enumerate(keys):
+        colour[key] = colour.get(key, 0) | 1 << i
+    cells = [colour[key] for key in sorted(colour)]
     gens, work = automorphisms(qadj, cells, limit)
     # a table entry is an n-bit int: one of w words costs w units, charged
     # before any is built, so the budget bounds their memory too
@@ -203,8 +204,15 @@ def layout_automorphisms(adj, blocks, limit: int) -> tuple[list[list[list[int]]]
 def fill_orbit(gens: list[list[list[int]]], u: int, counts: dict[int, int]) -> int:
     """Give every state of u's orbit under the generators `gens`, byte
     tables as layout_automorphisms returns them, the count of u, and return
-    the length of the orbit. An orbit is closed, so no state of it is in
-    `counts` before u."""
+    the work: a generator applied to a state of the orbit looks up each of
+    its n/8 bytes and ORs images of n/64 words, a unit per 4 lookups or per
+    64 words ORed, at least one. An orbit is closed, so no state of it is
+    in `counts` before u."""
+    # a table per byte of a state; the last has 2^r entries for its r vertices
+    lookups = len(gens[0])
+    n = 8 * (lookups - 1) + len(gens[0][-1]).bit_length() - 1
+    words = 1 + (n >> 6)
+    step = len(gens) * (1 + lookups * (16 + words) // 64)
     total = counts[u]
     orbit = [u]
     for v in orbit:
@@ -215,4 +223,4 @@ def fill_orbit(gens: list[list[list[int]]], u: int, counts: dict[int, int]) -> i
             if x not in counts:
                 counts[x] = total
                 orbit.append(x)
-    return len(orbit)
+    return len(orbit) * step

@@ -48,10 +48,10 @@ from .symmetry import fill_orbit, layout_automorphisms
 
 # A unit of tree work is one count that a split multiplies (more for counts
 # of many words, see _count_trees), one cell examined in the search for
-# generators (their tables and applications cost more on many vertices),
-# one tree or forest enumerated, one edge subset or a quarter of a gluing
-# join. CPython 3.11 on a 2-vCPU machine runs 0.4-1 million units per
-# second, so refusals take under 3 s.
+# generators (more on many vertices, as are their tables and applications,
+# see symmetry), one tree or forest enumerated, one edge subset or a
+# quarter of a gluing join, metered as it goes. CPython 3.11 on a 2-vCPU
+# machine runs 0.4-1 million units per second, so refusals take under 3 s.
 TREE_WORK_BUDGET = 1_000_000
 
 
@@ -269,31 +269,20 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
     labels of g when its twin classes are contiguous blocks.
 
     Orbits: generators of the automorphisms of the twin quotient, lifted to
-    the layout, are found first (symmetry.layout_automorphisms), their
-    search charged to the budget. A state not yet in a is counted from its
-    splits, and its count goes to every state of its orbit, the closure of
-    {u} under the generators; the walk then skips those states without
-    building their splits, so a holds every connected state. The tables of
-    the generators are charged by their size before they are built, and
-    each generator applied to a state of an orbit by its n/8 byte lookups
-    and n/64 words: one unit up to 24 vertices. An asymmetric twin
-    quotient, separated by refinement alone, has no generators.
+    the layout, are found first (symmetry.layout_automorphisms). A state
+    not yet in a is counted from its splits, and its count goes to every
+    state of its orbit, the closure of {u} under the generators
+    (symmetry.fill_orbit); the walk then skips those states without
+    building their splits, so a holds every connected state. An asymmetric
+    twin quotient, separated by refinement alone, has no generators. The
+    meter is the only guard: symmetry charges the search, the tables and
+    each orbit as it goes, and each state here is charged by its counts.
     """
     _check_countable(g, what)
     adj, blocks = _twin_layout(g)
-    classes = g.n - sum(k - 1 for _, k in blocks)
-    need = f"{what}: {g.n} vertices in {classes} twin classes need"
-    # no connected graph on c classes has fewer useful splits than the path,
-    # though orbits may spare most of them: this refuses C_182 at once
-    if comb(classes + 1, 3) > TREE_WORK_BUDGET:
-        raise CapExceeded(
-            f"{need} C({classes + 1}, 3) splits, over the cap {TREE_WORK_BUDGET:.2g}")
+    need = f"{what}: {g.n} vertices in {g.n - sum(k - 1 for _, k in blocks)} twin classes need"
     gens, work = layout_automorphisms(adj, blocks, TREE_WORK_BUDGET)
     _check_work(work, need)
-    # a generator applied to a state looks up each of its n/8 bytes and ORs
-    # images of n/64 words: a unit per 4 lookups or per 64 words ORed
-    words = 1 + (g.n >> 6)
-    step = len(gens) * (1 + ((g.n + 7) >> 3) * (16 + words) // 64)
     a: dict[int, int] = {}
     for u, splits in _walk(adj, blocks, not connected_rule, a):
         total = count = 0  # count: the counts that the splits multiply
@@ -315,7 +304,7 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
         # big-integer products dominate there
         work += (count + 1) * (1 + (total.bit_length() >> 6) ** 2 // 1024) + (u.bit_length() >> 6)
         if gens:
-            work += fill_orbit(gens, u, a) * step
+            work += fill_orbit(gens, u, a)
         _check_work(work, need)
     return a
 

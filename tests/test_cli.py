@@ -131,14 +131,13 @@ def test_count_too_costly_is_stopped_by_the_meter_exit_1(capsys, source):
 
 
 def test_count_huge_twin_free_graph_exit_1(capsys):
-    # a path has the fewest useful splits of any connected graph, C(n + 1, 3),
-    # so a graph of 10000 twin classes is refused before any work; the
-    # message must stay short
+    # the search for symmetries of 10000 twin classes is metered as it
+    # refines, so the meter refuses it at once; the message must stay short
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "count", "--family", "path", "--n", "10000")
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == ""
-    assert err.count("\n") == 1 and "C(10001, 3)" in err and "cap" in err and len(err) < 200
+    assert err.count("\n") == 1 and "units of work, the cap" in err and len(err) < 200
 
 
 @pytest.mark.parametrize(
@@ -440,6 +439,15 @@ def test_verify_rec_rejects_non_integer_fields(capsys, tmp_path, rec):
 def test_count_rejects_bools(capsys, graph):
     code, out, err = run_cli(capsys, "count", "--graph", graph)
     assert code == 2 and out == "" and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edges,mult", [("5", "[1]"), ("null", "[1]"), ("true", "[1]"),
+                                        ("1.5", "[1]"), ("[]", "5")])
+@pytest.mark.parametrize("command", [["count", "--graph"], ["series", "--caps", "2", "--hgraph"]])
+def test_malformed_template_fields_exit_2(capsys, command, edges, mult):
+    template = f'{{"hgraph": {{"H_edges": {edges}, "phi": [0], "mult": {mult}}}}}'
+    code, out, err = run_cli(capsys, *command, template)
+    assert code == 2 and out == "" and err.count("\n") == 1 and "must be a list of pairs" in err
 
 
 def test_asymptotics_iterates_once(capsys, monkeypatch):

@@ -39,7 +39,7 @@ from asmtree import (
 )
 from asmtree import trees
 from asmtree.graphs import _connected_mask, _mapped
-from asmtree.symmetry import layout_automorphisms
+from asmtree.symmetry import automorphisms, layout_automorphisms
 
 KNOWN_EDGE_COUNTS = [
     ("path", [4], 5),
@@ -78,9 +78,9 @@ def test_work_budget_override(monkeypatch):
     with pytest.raises(CapExceeded, match="units of work"):
         count_edge_rule(family("path", [5]))
     assert count_edge_rule(family("path", [4])) == 5
-    # C(c + 1, 3) > budget refuses c twin classes before any work
+    # the meter is the only guard: a small budget stops P_5 as it goes
     monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 19)
-    with pytest.raises(CapExceeded, match=r"C\(6, 3\)"):
+    with pytest.raises(CapExceeded, match="units of work"):
         count_edge_rule(family("path", [5]))
 
 
@@ -672,6 +672,24 @@ def test_symmetric_graphs_match_the_core_without_orbits(name, monkeypatch):
         assert time.perf_counter() - t0 < 5.0
         monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 3 * 10**6)
     assert count_connected_rule(g) == connected
+
+
+def test_cycle_of_182_classes_is_counted_on_its_orbits():
+    # the rotations of a cycle leave about one state in n to count, so the
+    # meter admits cycles up to C_210 under both rules
+    g = family("cycle", [182])
+    assert count_edge_rule(g) == closed_form("cycle", 182)
+    assert count_connected_rule(g) == _connected_rule_cycle(182)
+
+
+def test_symmetry_search_stops_within_one_splitter_past_its_limit():
+    # the path refines by distance from its ends, one splitter at a time;
+    # a splitter examines at most 2000 cells of 2 units each (one unit, and
+    # one more per 1,024 bits of a mask)
+    t0 = time.perf_counter()
+    gens, work = automorphisms(family("path", [2000]).adj, [(1 << 2000) - 1], 1000)
+    assert time.perf_counter() - t0 < 0.5
+    assert gens == [] and 1000 < work <= 1000 + 2 * 2000
 
 
 @pytest.mark.parametrize("rule", [count_edge_rule, count_connected_rule])
