@@ -14,6 +14,7 @@ threads.
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 
 from .errors import CapExceeded, InputError
 from .rationals import is_int
@@ -90,7 +91,8 @@ class Graph:
         if not is_int(n) or n < 0:
             raise InputError(f"vertex count must be a non-negative integer, got {n!r}")
         _check_size(n)
-        adj = [0] * n
+        # a row of bytes per vertex: setting a bit of a wide int would copy it
+        rows = [bytearray(n + 7 >> 3) for _ in range(n)]
         for e in edges:
             try:
                 u, v = e
@@ -102,10 +104,10 @@ class Graph:
                 raise InputError(f"edge {e!r} out of range for n={n}")
             if u == v:
                 raise InputError(f"loop edge at vertex {u}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            rows[u][v >> 3] |= 1 << (v & 7)
+            rows[v][u >> 3] |= 1 << (u & 7)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", tuple(adj))
+        object.__setattr__(self, "adj", tuple(int.from_bytes(r, "little") for r in rows))
 
     def __setattr__(self, *_):
         raise AttributeError("Graph is immutable")
@@ -208,26 +210,17 @@ def build_h_graph(spec: HSpec) -> Graph:
     if spec.mult is None:
         raise InputError("build_h_graph needs multiplicities")
     base, phi, mult = spec.base, spec.phi, spec.mult
-    offsets = [0] * base.n
-    for i in range(1, base.n):
-        offsets[i] = offsets[i - 1] + mult[i - 1]
-    total = offsets[-1] + mult[-1] if base.n else 0
+    *offsets, total = accumulate(mult, initial=0)
+    pairs = base.edges()
     _check_size(
         total,
         sum(m * (m - 1) // 2 for m, bit in zip(mult, phi) if bit)
-        + sum(mult[i] * mult[j] for i, j in base.edges()),
+        + sum(mult[i] * mult[j] for i, j in pairs),
     )
-    edges = []
-    for i in range(base.n):
-        if phi[i]:
-            for j in range(mult[i]):
-                for k in range(j + 1, mult[i]):
-                    edges.append((offsets[i] + j, offsets[i] + k))
-        for i2 in range(i + 1, base.n):
-            if base.has_edge(i, i2):
-                for j in range(mult[i]):
-                    for k in range(mult[i2]):
-                        edges.append((offsets[i] + j, offsets[i2] + k))
+    edges = [(offsets[i] + j, offsets[i] + k) for i in range(base.n) if phi[i]
+             for j in range(mult[i]) for k in range(j + 1, mult[i])]
+    edges += [(offsets[i] + j, offsets[i2] + k) for i, i2 in pairs
+              for j in range(mult[i]) for k in range(mult[i2])]
     return Graph(total, edges)
 
 
@@ -346,8 +339,10 @@ def hspec_from_json(data, require_mult: bool = False) -> HSpec:
     phi, edges, mult = inner["phi"], inner["H_edges"], inner.get("mult")
     if not isinstance(phi, list) or not phi:
         raise InputError('"phi" must be a non-empty list of bits')
-    if not isinstance(edges, list) or not isinstance(mult, (list, type(None))):
-        raise InputError('"H_edges" must be a list of pairs, "mult" a list or absent')
+    if not isinstance(edges, list):
+        raise InputError('"H_edges" must be a list of pairs')
+    if not isinstance(mult, (list, type(None))):
+        raise InputError('"mult" must be a list or absent')
     if require_mult and mult is None:
         raise InputError('"mult" is required to build a concrete graph')
     return HSpec(Graph(len(phi), edges), phi, mult)

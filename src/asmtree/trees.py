@@ -47,11 +47,12 @@ from .rationals import is_int
 from .symmetry import fill_orbit, layout_automorphisms
 
 # A unit of tree work is one count that a split multiplies (more for counts
-# of many words, see _count_trees), one cell examined in the search for
-# generators (more on many vertices, as are their tables and applications,
-# see symmetry), one tree or forest enumerated, one edge subset or a
-# quarter of a gluing join, metered as it goes. CPython 3.11 on a 2-vCPU
-# machine runs 0.4-1 million units per second, so refusals take under 3 s.
+# of many words or on many twin classes, see _count_trees), one cell
+# examined in the search for generators (more on many vertices, as are
+# their tables and applications, see symmetry), one tree or forest
+# enumerated, one edge subset or a quarter of a gluing join, metered as it
+# goes. CPython 3.11 on a 2-vCPU machine runs 0.3-1 million units per
+# second, so refusals take about 1-3 s.
 TREE_WORK_BUDGET = 1_000_000
 
 
@@ -280,7 +281,8 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
     """
     _check_countable(g, what)
     adj, blocks = _twin_layout(g)
-    need = f"{what}: {g.n} vertices in {g.n - sum(k - 1 for _, k in blocks)} twin classes need"
+    classes = g.n - sum(k - 1 for _, k in blocks)
+    need = f"{what}: {g.n} vertices in {classes} twin classes need"
     gens, work = layout_automorphisms(adj, blocks, TREE_WORK_BUDGET)
     _check_work(work, need)
     a: dict[int, int] = {}
@@ -301,8 +303,10 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
         a[u] = total = total if u & u - 1 else 1
         # a unit is one count multiplied, or one word of a stored state; a
         # count of w words costs w^2/1024 more (the total bounds w), as
-        # big-integer products dominate there
-        work += (count + 1) * (1 + (total.bit_length() >> 6) ** 2 // 1024) + (u.bit_length() >> 6)
+        # big-integer products dominate there, and one more per 256 twin
+        # classes, as the splits of a wide quotient handle wide masks
+        work += ((count + 1) * (1 + (classes >> 8) + (total.bit_length() >> 6) ** 2 // 1024)
+                 + (u.bit_length() >> 6))
         if gens:
             work += fill_orbit(gens, u, a)
         _check_work(work, need)

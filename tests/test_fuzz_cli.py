@@ -239,10 +239,20 @@ def _graph_count(name, rule):
     return ["count", "--graph", json.dumps({"n": g.n, "edges": g.edges()}), "--rule", rule]
 
 
+def _random_count(n, m, rule):
+    """A random tree on n vertices with random edges added up to m."""
+    rng = random.Random(n * m)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return ["count", "--graph", json.dumps({"n": n, "edges": sorted(edges)}), "--rule", rule]
+
+
 @settings(FUZZ, max_examples=16)
 # symmetric graphs at the largest admitted sizes and the smallest refused
 # ones: star2(n) has n! automorphisms and C_n 2n; the meter refuses P_10000
-# and caterpillar(8000) while their search for symmetries refines
+# and caterpillar(8000) while their search for symmetries refines. Random
+# twin-free graphs of 200 and 1,000 vertices are among the slowest refusals
 @example(_family_count("star2", 10, "edge"))
 @example(_family_count("star2", 11, "edge"))
 @example(_family_count("star2", 9, "connected"))
@@ -253,6 +263,8 @@ def _graph_count(name, rule):
 @example(_family_count("cycle", 211, "connected"))
 @example(_family_count("path", 10000, "edge"))
 @example(_family_count("caterpillar", 8000, "connected"))
+@example(_random_count(200, 2000, "edge"))
+@example(_random_count(1000, 20000, "edge"))
 @example(_graph_count("dodecahedron", "edge"))
 @example(_graph_count("dodecahedron", "connected"))
 @example(_graph_count("grid4x4", "connected"))

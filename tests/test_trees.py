@@ -78,8 +78,10 @@ def test_work_budget_override(monkeypatch):
     with pytest.raises(CapExceeded, match="units of work"):
         count_edge_rule(family("path", [5]))
     assert count_edge_rule(family("path", [4])) == 5
-    # the meter is the only guard: a small budget stops P_5 as it goes
+    # the search for that symmetry costs 20 units, so at 19 it is stopped
+    # by the meter as it refines, before any state is walked
     monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 19)
+    monkeypatch.setattr(trees, "_walk", None)
     with pytest.raises(CapExceeded, match="units of work"):
         count_edge_rule(family("path", [5]))
 
