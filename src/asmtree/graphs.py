@@ -310,6 +310,14 @@ def is_connected_subset(g: Graph, subset: int) -> bool:
 
 def _load_obj(data):
     if isinstance(data, (str, bytes)):
+        # every admitted form has at most one "[" per edge plus a few, so a
+        # text with more is refused before it is parsed
+        brackets = data.count("[" if isinstance(data, str) else b"[")
+        if brackets > MAX_EDGES + 8:
+            raise CapExceeded(
+                f"graph JSON has {brackets} '[' characters, more than the cap of "
+                f"{MAX_EDGES} edges allows"
+            )
         try:
             data = json.loads(data)
         except json.JSONDecodeError as exc:

@@ -26,9 +26,12 @@ The template EGF is computed in integers. With T[f] = (prod f_i!)*g[f] for
 g = sqrt(R) and the scaled radicand (prod m_i!)*R[m], the first-order
 identity 2*R*dg/dx_p = (dR/dx_p)*g becomes an integer recurrence with one
 exact division per coefficient and O(#terms of R) work per coefficient
-(_sqrt_table); -T[f] is the tree count at f, and hgraph_egf stores it as
-it is. Before any work, a window's cost is estimated and refused over
-EGF_WORK_BUDGET.
+(_sqrt_table), which fills the table with -T: -T[f] is the tree count at
+f, and hgraph_egf stores it as it is. Rows that a swap of interchangeable
+template vertices maps onto earlier rows are copied, not computed. Before
+any work, a window's cost is estimated and refused over EGF_WORK_BUDGET;
+a window symmetric in two or more of its head coordinates (all but the
+last), such as the tripartite one, takes about half its estimate.
 """
 
 from __future__ import annotations
@@ -161,7 +164,9 @@ class TruncatedSeries:
 # Work budget of one EGF window, in the steps of _check_window_work; with
 # CPython 3.11 on a 2-vCPU virtual machine a window runs 10-21 million
 # steps per second, so an admitted window takes at most about 2.5 s. The
-# tripartite window at caps 66 (acceptance criterion 7) takes 1.4e7.
+# tripartite window at caps 66 (acceptance criterion 7) is estimated at
+# 1.4e7; _sqrt_table copies the mirror rows of a window symmetric in its
+# head coordinates, so such a window takes about half its estimate.
 EGF_WORK_BUDGET = 25_000_000
 
 
@@ -184,10 +189,32 @@ def _check_window_work(caps, terms: int) -> None:
         )
 
 
+def _head_classes(window: dict, caps: tuple) -> list[tuple[int, ...]]:
+    """The classes of two or more interchangeable head coordinates (all but
+    the last): i < j are interchangeable when caps[i] == caps[j] and
+    swapping x_i and x_j maps the windowed radicand onto itself. The swaps
+    that fix it are closed under conjugation ((jk) = (ij)(ik)(ij)), so the
+    relation is transitive and each class is found from its first member."""
+    classes: list[list[int]] = []
+    for j in range(len(caps) - 1):
+        for cls in classes:
+            i = cls[0]
+            if caps[i] == caps[j] and all(
+                window.get(m[:i] + (m[j],) + m[i + 1 : j] + (m[i],) + m[j + 1 :]) == r
+                for m, r in window.items()
+            ):
+                cls.append(j)
+                break
+        else:
+            classes.append([j])
+    return [tuple(c) for c in classes if len(c) > 1]
+
+
 def _sqrt_table(radicand: dict, caps) -> list[int]:
-    """The table T[f] = (prod_i f_i!) * g[f] of g = sqrt(R), as a flat list in
-    TruncatedSeries order, from the scaled radicand
+    """The table -T of T[f] = (prod_i f_i!) * g[f] for g = sqrt(R), as a flat
+    list in TruncatedSeries order, from the scaled radicand
     radicand[m] = (prod_i m_i!) * R[m], an integer dict with constant term 1.
+    For a template radicand -T[f] is the tree count at f != 0.
 
     Differentiating g^2 = R in x_p, p the first coordinate with f_p >= 1,
     gives for every f != 0
@@ -195,11 +222,20 @@ def _sqrt_table(radicand: dict, caps) -> list[int]:
         2 f_p T[f] = -sum_{m != 0, m <= f} radicand[m] * (2 f_p - 3 m_p)
                                            * prod_i C(f_i, m_i) * T[f - m].
 
-    Each cell costs O(#terms). The division is exact when every scaled term
-    but the constant is even, as in every template radicand; a remainder
-    raises EngineError. Cells are filled row by row along the last
+    The recurrence is linear, so seeding -1 at f = 0 fills every cell with
+    -T. Each cell costs O(#terms). The division is exact when every scaled
+    term but the constant is even, as in every template radicand; a
+    remainder raises EngineError. Cells are filled row by row along the last
     coordinate: terms that reach back into earlier rows are added to a
     whole row at once, and terms in the last variable alone run along it.
+
+    sqrt(R) with constant term 1 is unique, so a permutation of the head
+    coordinates (all but the last) that fixes the windowed radicand and the
+    caps fixes T. Only the rows whose head is sorted within each class of
+    interchangeable coordinates (_head_classes) are computed; every other
+    row is a copy, sharing its integers, of the row of its sorted head,
+    which comes earlier. A symmetric window thus takes about half the
+    steps _check_window_work estimates for it.
     """
     caps = tuple(caps)
     if radicand.get((0,) * len(caps)) != 1:
@@ -207,41 +243,48 @@ def _sqrt_table(radicand: dict, caps) -> list[int]:
     width = caps[-1] + 1
     head = caps[:-1]
     strides = _window_strides(caps)
+    window = {
+        m: r for m, r in radicand.items() if r and all(e <= c for e, c in zip(m, caps))
+    }
+    classes = _head_classes(window, caps)
     cross, along = [], []
-    for m, r in radicand.items():
-        if not r or not any(m) or any(e > c for e, c in zip(m, caps)):
+    for m, r in window.items():
+        if not any(m):
             continue
         nz = tuple((i, e) for i, e in enumerate(m[:-1]) if e)
         if nz:
             cross.append((nz, sum(e * strides[i] for i, e in nz), m, r))
         else:
             along.append((m[-1], r))
-    col = {
-        e: [comb(n, e) for n in range(max(caps) + 1)]
-        for m in radicand
-        for e in m
-        if e and all(d <= c for d, c in zip(m, caps))
-    }
+    col = {e: [comb(n, e) for n in range(max(caps) + 1)] for m in window for e in m if e}
     # terms in the last variable alone, weighted by C(j, e) at row cell j
     along_at = [[(e, r * col[e][j]) for e, r in along if e <= j] for j in range(width)]
     table = [0] * (prod(c + 1 for c in head) * width)
-    table[0] = 1
+    table[0] = -1
 
-    def exact(num: int, den: int, cell) -> int:
-        q, rem = divmod(num, den)
-        if rem:
-            raise EngineError(f"square-root table is not integral at {cell}")
-        return q
+    def not_integral(cell):
+        return EngineError(f"square-root table is not integral at {cell}")
 
     for j in range(1, width):  # the row of the last variable: p is last
-        acc = sum(w * (2 * j - 3 * e) * table[j - e] for e, w in along_at[j])
-        table[j] = -exact(acc, 2 * j, (0,) * len(head) + (j,))
+        q, rem = divmod(sum(w * (2 * j - 3 * e) * table[j - e] for e, w in along_at[j]), 2 * j)
+        if rem:
+            raise not_integral((0,) * len(head) + (j,))
+        table[j] = -q
     for row, f in enumerate(product(*(range(c + 1) for c in head))):
         if not row:
             continue
+        start = row * width
+        if classes:
+            key = list(f)
+            for cls in classes:
+                for i, e in zip(cls, sorted(f[i] for i in cls)):
+                    key[i] = e
+            src = sum(e * s for e, s in zip(key, strides))
+            if src != start:
+                table[start : start + width] = table[src : src + width]
+                continue
         p = next(i for i, e in enumerate(f) if e)
         two_fp = 2 * f[p]
-        start = row * width
         acc = [0] * width
         for nz, back, m, r in cross:
             if any(f[i] < e for i, e in nz):
@@ -258,9 +301,10 @@ def _sqrt_table(radicand: dict, caps) -> list[int]:
                 ]
             else:
                 acc = [a + c * t for a, t in zip(acc, table[src : src + width])]
-        for j, a in enumerate(acc):
-            # m_p = 0 on the terms in the last variable, so 2 f_p cancels
-            q = exact(a, two_fp, f + (j,))
+        # m_p = 0 on the terms in the last variable, so 2 f_p cancels
+        for j, (q, rem) in enumerate([divmod(a, two_fp) for a in acc]):
+            if rem:
+                raise not_integral(f + (j,))
             for e, w in along_at[j]:
                 q += w * table[start + j - e]
             table[start + j] = -q
@@ -370,8 +414,6 @@ def hgraph_egf(spec: HSpec, caps) -> TruncatedSeries:
     )
     _check_window_work(caps, terms)
     table = _sqrt_table(_radicand_terms(spec, caps, pairs), caps)
-    for i, t in enumerate(table):  # in place: the window can be large
-        table[i] = -t
     table[0] = 0
     return TruncatedSeries(caps, table)
 
@@ -409,7 +451,7 @@ def b_egf(N: int, M: int, J: int, cap: int) -> list[Fraction]:
     _check_window_work((cap,), 2)
     table = _sqrt_table(radicand, (cap,))
     fact = _factorials(cap)
-    return [Fraction(0)] + [Fraction(-t, d) for t, d in zip(table[1:], fact[1:])]
+    return [Fraction(0)] + [Fraction(t, d) for t, d in zip(table[1:], fact[1:])]
 
 
 def diagonal(series: TruncatedSeries) -> list[Fraction]:

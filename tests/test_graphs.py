@@ -4,6 +4,7 @@ import random
 import pytest
 
 from asmtree import (
+    CapExceeded,
     Graph,
     HSpec,
     InputError,
@@ -15,6 +16,7 @@ from asmtree import (
     is_connected_subset,
     relabel,
 )
+from asmtree import graphs
 
 
 def test_from_edge_list_triangle():
@@ -192,3 +194,28 @@ def test_hspec_validation():
         HSpec(Graph(2, [(0, 1)]), (0, 0), (1,))
     with pytest.raises(InputError):
         HSpec(Graph(2, [(0, 1)]), (0, 0), (1, -1))
+
+
+def test_graph_json_over_the_edge_cap_is_refused_before_parsing(monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_EDGES", 50)
+
+    def edge_list(m):
+        return json.dumps({"n": m + 1, "edges": [[i, i + 1] for i in range(m)]})
+
+    def template(m):
+        edges = [[i, i + 1] for i in range(m)]
+        return json.dumps({"hgraph": {"H_edges": edges, "phi": [0] * (m + 1)}})
+
+    with monkeypatch.context() as m:
+        def unparsed(*_, **__):
+            raise AssertionError("json.loads was called")
+
+        m.setattr(json, "loads", unparsed)
+        for text in (edge_list(60), edge_list(60).encode()):
+            with pytest.raises(CapExceeded, match="cap of 50 edges"):
+                graph_from_json(text)
+        with pytest.raises(CapExceeded, match="cap of 50 edges"):
+            hspec_from_json(template(60))
+    assert graph_from_json(edge_list(50)) == family("path", [51])
+    assert graph_from_json(edge_list(50).encode()).edge_count == 50
+    assert hspec_from_json(template(50)).base == family("path", [51])

@@ -1,5 +1,8 @@
+import hashlib
 import random
+import re
 from fractions import Fraction as F
+from itertools import permutations
 from math import comb, factorial, prod
 
 import pytest
@@ -447,24 +450,103 @@ def _random_scaled_radicand(rng: random.Random, caps) -> dict:
     return rt
 
 
-@pytest.mark.parametrize("caps", [(7,), (4, 3), (3, 2, 3)])
+def _symmetrised(rt: dict) -> dict:
+    # the sum of the terms over all permutations of the coordinates
+    sym = {}
+    for m, r in rt.items():
+        if any(m):
+            for image in permutations(m):
+                sym[image] = sym.get(image, 0) + r
+    sym = {m: r for m, r in sym.items() if r}
+    sym[(0,) * len(next(iter(rt)))] = 1
+    return sym
+
+
+@pytest.mark.parametrize("caps", [(7,), (4, 3), (3, 2, 3), (3, 3, 3), (2, 2, 2, 2)])
 def test_integer_engine_matches_sqrt1(caps):
+    # the table holds -T; on equal caps a symmetrised radicand makes the
+    # engine copy the rows of unsorted heads, checked here against sqrt1
     rng = random.Random(sum(caps) * 101 + len(caps))
     for _ in range(10):
-        rt = _random_scaled_radicand(rng, caps)
-        weight = {exp: prod(factorial(e) for e in exp) for exp in rt}
-        g = sqrt1(
-            TruncatedSeries.from_terms(caps, {m: F(r, weight[m]) for m, r in rt.items()})
-        )
-        table = series._sqrt_table(rt, caps)
-        for idx, exp in enumerate(g.exponents()):
-            assert table[idx] == g.coeff(exp) * prod(factorial(e) for e in exp), exp
+        radicands = [_random_scaled_radicand(rng, caps)]
+        if len(caps) > 2 and len(set(caps)) == 1:
+            radicands.append(_symmetrised(radicands[0]))
+            assert series._head_classes(radicands[1], caps) == [tuple(range(len(caps) - 1))]
+        for rt in radicands:
+            weight = {exp: prod(factorial(e) for e in exp) for exp in rt}
+            g = sqrt1(
+                TruncatedSeries.from_terms(caps, {m: F(r, weight[m]) for m, r in rt.items()})
+            )
+            table = series._sqrt_table(rt, caps)
+            for idx, exp in enumerate(g.exponents()):
+                assert -table[idx] == g.coeff(exp) * prod(factorial(e) for e in exp), exp
 
 
 def test_integer_engine_rejects_non_integral_table():
     # R = 1 - x: 2*T[1] = -1 has no integer solution
     with pytest.raises(EngineError):
         series._sqrt_table({(0,): 1, (1,): -1}, (3,))
+
+
+@pytest.mark.parametrize(
+    "radicand, cell",
+    [
+        ({(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1}, (0, 0, 1)),
+        ({(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -2}, (0, 1, 0)),
+    ],
+)
+def test_integer_engine_rejects_non_integral_symmetric_table(radicand, cell):
+    # symmetric in the head coordinates, whose mirror rows are copied; the
+    # first odd cell, in the first row or in a computed one, is still named
+    assert series._head_classes(radicand, (3, 3, 3)) == [(0, 1)]
+    with pytest.raises(EngineError, match=re.escape(str(cell))):
+        series._sqrt_table(radicand, (3, 3, 3))
+
+
+def _cells_sha256(egf: TruncatedSeries) -> str:
+    return hashlib.sha256(",".join(map(str, egf._coeffs)).encode()).hexdigest()
+
+
+def test_tripartite_window_is_symmetric():
+    egf = hgraph_egf(TRIPARTITE, (12, 12, 12))
+    for exp, v in zip(egf.exponents(), egf._coeffs):
+        for image in permutations(exp):
+            assert egf._coeffs[egf._index(image)] == v, (exp, image)
+
+
+# SHA-256 of the comma-joined cells, recorded before the engine copied rows
+@pytest.mark.parametrize(
+    "spec, caps, digest",
+    [
+        (TRIPARTITE, (40, 40, 40), "dea9e3f1730b6fb680aec05d469a0063576c03e472f9c7f9f8636bfc36207e15"),
+        (TRIPARTITE, (20, 21, 20), "bab7edd032ce2a166caee4961b7a3158b9108cc7dd7af981b58e341d59413cbe"),
+        (TRIPARTITE, (21, 20, 20), "f7d899b409a20c3b04b3c0fccc5ccb5fa363ef17f5265b3500621c01d3cb0e9d"),
+        (
+            HSpec(Graph(3, [(0, 1), (1, 2)]), (1, 0, 0)),
+            (12, 12, 12),
+            "24dc0e06f33974f02d1276b6c4613915aac7af5bada8f06f724afef1025cc5a1",
+        ),
+    ],
+    ids=["tripartite-40", "tripartite-unequal-caps", "tripartite-larger-first-cap",
+         "path-one-clique-leaf"],
+)
+def test_egf_windows_pinned(spec, caps, digest):
+    assert _cells_sha256(hgraph_egf(spec, caps)) == digest
+
+
+@pytest.mark.parametrize("phi", [(1, 0, 1), (1, 0, 0)])
+def test_path_template_with_its_twins_in_the_head(phi):
+    # the 3-vertex path with its middle vertex last: the leaves are head
+    # coordinates 0 and 1, interchangeable when their clique bits agree,
+    # and the radicand carries sub-template parts A_U
+    path = HSpec(Graph(3, [(0, 1), (1, 2)]), phi)
+    moved = HSpec(Graph(3, [(0, 2), (1, 2)]), (phi[0], phi[2], phi[1]))
+    caps = (8, 8, 8)
+    radicand = series._radicand_terms(moved, caps, series._radicand_pairs(moved, caps))
+    assert series._head_classes(radicand, caps) == ([(0, 1)] if phi[0] == phi[2] else [])
+    want, got = hgraph_egf(path, caps), hgraph_egf(moved, caps)
+    for a, b, c in want.exponents():
+        assert got._coeffs[got._index((a, c, b))] == want._coeffs[want._index((a, b, c))]
 
 
 def test_b_egf_values_pinned():
