@@ -9,10 +9,10 @@ for every n >= s. Extension, verification and the float iteration of
 the asymptotics layer read the values P_i(n + i) of the denominator-cleared
 polynomials from one stepper, _poly_blocks, as exact integers found by
 forward differences. Guessing searches (order, degree) cells in lexicographic
-order, solves each cell's homogeneous linear system modulo 61-bit primes,
-reconstructs the rational kernel and certifies it exactly on the integer
-system, and accepts a candidate only if it verifies on every term not used
-in the fit.
+order, solves each cell's homogeneous linear system modulo primes below
+2^30 (one digit of a CPython int each), reconstructs the rational kernel
+and certifies it exactly on the integer system, and accepts a candidate
+only if it verifies on every term not used in the fit.
 """
 
 from __future__ import annotations
@@ -256,7 +256,9 @@ def verify(rec: PRecurrence, seq) -> VerifyResult:
     return VerifyResult(True, None, checked)
 
 
-_PRIMES = [(1 << 61) - 1]  # 61-bit primes counting down, extended on demand
+# primes below 2^30 counting down, extended on demand: CPython stores ints in
+# 30-bit digits, so a residue is one digit and a product two
+_PRIMES = [(1 << 30) - 35]
 
 
 def _is_prime(n: int) -> bool:
@@ -334,7 +336,7 @@ def _kernel(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
     at the k-th free column of the reduced row echelon form and 0 at the
     other free columns.
 
-    Each 61-bit prime gives a kernel mod p. A full rank mod p means full
+    Each prime below 2^30 gives a kernel mod p. A full rank mod p means full
     rank over Q. Primes sharing the best pivot profile (highest rank, then
     the lexicographically smallest pivot columns) are combined by CRT and
     each entry is rationally reconstructed; the basis is returned once every
@@ -357,12 +359,15 @@ def _kernel(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
             residues = [r + modulus * ((b - r) * t % p) for r, b in zip(residues, flat)]
             modulus *= p
         bound = isqrt(modulus // 2)
-        entries = [_rational(r, modulus, bound) for r in residues]
-        if None in entries:
-            continue
-        vecs = [entries[i : i + ncols] for i in range(0, len(entries), ncols)]
-        if all(_annihilates(rows, v) for v in vecs):
-            return vecs
+        entries = []
+        for r in residues:  # stop at the first entry the modulus cannot reach
+            entries.append(_rational(r, modulus, bound))
+            if entries[-1] is None:
+                break
+        else:
+            vecs = [entries[i : i + ncols] for i in range(0, len(entries), ncols)]
+            if all(_annihilates(rows, v) for v in vecs):
+                return vecs
 
 
 def _annihilates(rows, vec) -> bool:
@@ -373,8 +378,9 @@ def _annihilates(rows, vec) -> bool:
 
 # Work budget of one guess, in elimination steps: (u + 2) * u^2 for each cell
 # with u = (order + 1)(degree + 1) unknowns. With CPython 3.11 on a 2-vCPU
-# virtual machine a search runs 6-7 million steps per second; the (3, 11)
-# search behind the tripartite recurrence takes 6.4e5.
+# virtual machine a search runs 13-16 million steps per second, so a search
+# at the budget takes about 3-4 s; the (3, 11) search behind the tripartite
+# recurrence takes 6.4e5.
 GUESS_WORK_BUDGET = 50_000_000
 
 

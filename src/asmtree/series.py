@@ -27,11 +27,12 @@ g = sqrt(R) and the scaled radicand (prod m_i!)*R[m], the first-order
 identity 2*R*dg/dx_p = (dR/dx_p)*g becomes an integer recurrence with one
 exact division per coefficient and O(#terms of R) work per coefficient
 (_sqrt_table), which fills the table with -T: -T[f] is the tree count at
-f, and hgraph_egf stores it as it is. Rows that a swap of interchangeable
-template vertices maps onto earlier rows are copied, not computed. Before
-any work, a window's cost is estimated and refused over EGF_WORK_BUDGET;
-a window symmetric in two or more of its head coordinates (all but the
-last), such as the tripartite one, takes about half its estimate.
+f, and hgraph_egf stores it as it is. Cells that a permutation of
+interchangeable template vertices maps onto earlier cells are copied, not
+computed: whole rows, and the start of each computed row when the row
+axis (the last coordinate) has twins. Before any work, a window's cost is
+estimated and refused over EGF_WORK_BUDGET; a symmetric window such as the
+tripartite one takes a fraction of its estimate.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ class TruncatedSeries:
 # CPython 3.11 on a 2-vCPU virtual machine a window runs 10-21 million
 # steps per second, so an admitted window takes at most about 2.5 s. The
 # tripartite window at caps 66 (acceptance criterion 7) is estimated at
-# 1.4e7; _sqrt_table copies the mirror rows of a window symmetric in its
-# head coordinates, so such a window takes about half its estimate.
+# 1.4e7; _sqrt_table copies the mirror cells of a symmetric window, so the
+# tripartite window takes a fifth or less of the time its estimate allows.
 EGF_WORK_BUDGET = 25_000_000
 
 
@@ -189,14 +190,14 @@ def _check_window_work(caps, terms: int) -> None:
         )
 
 
-def _head_classes(window: dict, caps: tuple) -> list[tuple[int, ...]]:
-    """The classes of two or more interchangeable head coordinates (all but
-    the last): i < j are interchangeable when caps[i] == caps[j] and
-    swapping x_i and x_j maps the windowed radicand onto itself. The swaps
-    that fix it are closed under conjugation ((jk) = (ij)(ik)(ij)), so the
-    relation is transitive and each class is found from its first member."""
+def _symmetry_classes(window: dict, caps: tuple) -> list[tuple[int, ...]]:
+    """The classes of two or more interchangeable coordinates: i < j are
+    interchangeable when caps[i] == caps[j] and swapping x_i and x_j maps
+    the windowed radicand onto itself. The swaps that fix it are closed
+    under conjugation ((jk) = (ij)(ik)(ij)), so the relation is transitive
+    and each class is found from its first member."""
     classes: list[list[int]] = []
-    for j in range(len(caps) - 1):
+    for j in range(len(caps)):
         for cls in classes:
             i = cls[0]
             if caps[i] == caps[j] and all(
@@ -229,24 +230,35 @@ def _sqrt_table(radicand: dict, caps) -> list[int]:
     coordinate: terms that reach back into earlier rows are added to a
     whole row at once, and terms in the last variable alone run along it.
 
-    sqrt(R) with constant term 1 is unique, so a permutation of the head
-    coordinates (all but the last) that fixes the windowed radicand and the
-    caps fixes T. Only the rows whose head is sorted within each class of
-    interchangeable coordinates (_head_classes) are computed; every other
-    row is a copy, sharing its integers, of the row of its sorted head,
-    which comes earlier. A symmetric window thus takes about half the
-    steps _check_window_work estimates for it.
+    sqrt(R) with constant term 1 is unique, so a permutation of the
+    coordinates that fixes the windowed radicand and the caps fixes T, and
+    every cell equals the cell of its sorted exponent (values ascending
+    within each class of interchangeable coordinates, _symmetry_classes),
+    which comes no later in flat order. A row whose head (all coordinates
+    but the last) is unsorted is a copy, sharing its integers, of the row
+    of its sorted head, which comes earlier. In a computed row, let the
+    row axis share a class with head positions p_1 < ... < p_r holding
+    v_1 <= ... <= v_r: a cell k < v_r sorts to an earlier row, where k
+    moves to p_t for v_(t-1) <= k < v_t, so each segment [v_(t-1), v_t) is
+    one strided slice along p_t, and only the cells k >= v_r are computed.
+    The tripartite window thus computes about a sixth of its cells.
     """
     caps = tuple(caps)
     if radicand.get((0,) * len(caps)) != 1:
         raise InputError("radicand must have constant term 1")
+    last = len(caps) - 1
     width = caps[-1] + 1
     head = caps[:-1]
     strides = _window_strides(caps)
     window = {
         m: r for m, r in radicand.items() if r and all(e <= c for e, c in zip(m, caps))
     }
-    classes = _head_classes(window, caps)
+    axis, classes = (), []  # head positions sharing the row axis's class; head classes
+    for cls in _symmetry_classes(window, caps):
+        if cls[-1] == last:
+            axis = cls = cls[:-1]
+        if len(cls) > 1:
+            classes.append(cls)
     cross, along = [], []
     for m, r in window.items():
         if not any(m):
@@ -283,9 +295,23 @@ def _sqrt_table(radicand: dict, caps) -> list[int]:
             if src != start:
                 table[start : start + width] = table[src : src + width]
                 continue
+        lo = 0
+        if axis:
+            # cells k < v_r: segment [v_(t-1), v_t) runs along p_t from base,
+            # the cell with p_t at 0, p_(t+1..r) at v_(t..r-1), the last at v_r
+            vals = [f[i] for i in axis]
+            lo = vals[-1]
+            steps = [strides[i] for i in axis]
+            nexts = steps[1:] + [0]
+            base = start + lo + sum(v * (n - s) for v, s, n in zip(vals, steps, nexts))
+            prev = 0
+            for v, s, n in zip(vals, steps, nexts):
+                table[start + prev : start + v] = table[base + prev * s : base + v * s : s]
+                base += v * (s - n)
+                prev = v
         p = next(i for i, e in enumerate(f) if e)
         two_fp = 2 * f[p]
-        acc = [0] * width
+        acc = [0] * (width - lo)  # cells lo.. of the row
         for nz, back, m, r in cross:
             if any(f[i] < e for i, e in nz):
                 continue
@@ -295,14 +321,17 @@ def _sqrt_table(radicand: dict, caps) -> list[int]:
             src = start - back
             e = m[-1]
             if e:
-                acc[e:] = [
+                k = max(lo, e)
+                acc[k - lo :] = [
                     a + c * b * t
-                    for a, b, t in zip(acc[e:], col[e][e:width], table[src : src + width - e])
+                    for a, b, t in zip(
+                        acc[k - lo :], col[e][k:width], table[src + k - e : src + width - e]
+                    )
                 ]
             else:
-                acc = [a + c * t for a, t in zip(acc, table[src : src + width])]
+                acc = [a + c * t for a, t in zip(acc, table[src + lo : src + width])]
         # m_p = 0 on the terms in the last variable, so 2 f_p cancels
-        for j, (q, rem) in enumerate([divmod(a, two_fp) for a in acc]):
+        for j, (q, rem) in enumerate([divmod(a, two_fp) for a in acc], lo):
             if rem:
                 raise not_integral(f + (j,))
             for e, w in along_at[j]:

@@ -250,9 +250,6 @@ def test_unknown_builtin():
         builtin("z")
 
 
-P61 = (1 << 61) - 1  # the first prime of the modular kernel
-
-
 def _planted(rng, ncols, dim, bits):
     """Integer rows (ncols - dim + 2 of them, like a guess cell) whose kernel
     is spanned by `dim` random integer vectors."""
@@ -296,20 +293,28 @@ def test_kernel_matches_bareiss_on_planted_kernels(primes_used):
     assert max(primes_used) >= 2  # some kernels took several primes
 
 
+def test_primes_are_single_digits():
+    # one 30-bit digit of a CPython int each, so a product fits in two
+    primes = [recurrences._prime(k) for k in range(20)]
+    assert primes == sorted(set(primes), reverse=True)
+    assert all(p < 1 << 30 and recurrences._is_prime(p) for p in primes)
+
+
 def test_kernel_with_a_rank_deficient_first_prime(primes_used):
-    # rank 3 over Q, rank 2 modulo 2^61 - 1
-    rows = [[1, 2, 3], [2, 4, 6 + P61], [1, 1, 1]]
-    pivots, basis = recurrences._kernel_mod(rows, 3, P61)
+    # rank 3 over Q, rank 2 modulo the first prime
+    p = recurrences._prime(0)
+    rows = [[1, 2, 3], [2, 4, 6 + p], [1, 1, 1]]
+    pivots, basis = recurrences._kernel_mod(rows, 3, p)
     assert len(pivots) == 2 and basis
     assert recurrences._kernel(rows, 3) == bareiss_nullspace(rows, 3) == []
     # the same rank drop with a kernel left over Q: the profile is replaced
     rows = rows[:2]
-    assert recurrences._kernel_mod(rows, 3, P61)[0] == (0,)
+    assert recurrences._kernel_mod(rows, 3, p)[0] == (0,)
     assert recurrences._kernel(rows, 3) == bareiss_nullspace(rows, 3) == [[-2, 1, 0]]
-    # equal rank, later pivot modulo 2^61 - 1: the lexicographically smaller wins
-    rows = [[P61, 1]]
-    assert recurrences._kernel_mod(rows, 2, P61)[0] == (1,)
-    assert recurrences._kernel(rows, 2) == bareiss_nullspace(rows, 2) == [[F(-1, P61), 1]]
+    # equal rank, later pivot modulo the first prime: the lexicographically smaller wins
+    rows = [[p, 1]]
+    assert recurrences._kernel_mod(rows, 2, p)[0] == (1,)
+    assert recurrences._kernel(rows, 2) == bareiss_nullspace(rows, 2) == [[F(-1, p), 1]]
 
 
 def test_kernel_entries_needing_several_primes(primes_used):
@@ -317,7 +322,8 @@ def test_kernel_entries_needing_several_primes(primes_used):
     rows = [[a, b, 0], [0, 7, -5]]
     got = recurrences._kernel(rows, 3)
     assert got == bareiss_nullspace(rows, 3) == [[F(-5 * b, 7 * a), F(5, 7), 1]]
-    assert primes_used == [0, 1, 2, 3, 4]  # M > 2 (5b)^2, about 2^266, takes five
+    # M > 2 (5b)^2, about 2^266, takes nine primes just below 2^30
+    assert primes_used == list(range(9))
 
 
 def _reference_guess(monkeypatch, seq, order, degree):

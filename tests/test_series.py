@@ -450,12 +450,16 @@ def _random_scaled_radicand(rng: random.Random, caps) -> dict:
     return rt
 
 
-def _symmetrised(rt: dict) -> dict:
-    # the sum of the terms over all permutations of the coordinates
+def _symmetrised(rt: dict, coords) -> dict:
+    # the sum of the terms over all permutations of the given coordinates
     sym = {}
     for m, r in rt.items():
         if any(m):
-            for image in permutations(m):
+            for values in permutations([m[i] for i in coords]):
+                image = list(m)
+                for i, v in zip(coords, values):
+                    image[i] = v
+                image = tuple(image)
                 sym[image] = sym.get(image, 0) + r
     sym = {m: r for m, r in sym.items() if r}
     sym[(0,) * len(next(iter(rt)))] = 1
@@ -464,14 +468,18 @@ def _symmetrised(rt: dict) -> dict:
 
 @pytest.mark.parametrize("caps", [(7,), (4, 3), (3, 2, 3), (3, 3, 3), (2, 2, 2, 2)])
 def test_integer_engine_matches_sqrt1(caps):
-    # the table holds -T; on equal caps a symmetrised radicand makes the
-    # engine copy the rows of unsorted heads, checked here against sqrt1
+    # the table holds -T; on equal caps a radicand symmetrised over all
+    # coordinates, or over the row axis (the last) and one head coordinate,
+    # makes the engine copy rows and the cells below a row's class maximum,
+    # checked here against sqrt1
     rng = random.Random(sum(caps) * 101 + len(caps))
+    n = len(caps)
     for _ in range(10):
         radicands = [_random_scaled_radicand(rng, caps)]
-        if len(caps) > 2 and len(set(caps)) == 1:
-            radicands.append(_symmetrised(radicands[0]))
-            assert series._head_classes(radicands[1], caps) == [tuple(range(len(caps) - 1))]
+        if n > 2 and len(set(caps)) == 1:
+            for coords in (tuple(range(n)), (1, n - 1)):
+                radicands.append(_symmetrised(radicands[0], coords))
+                assert series._symmetry_classes(radicands[-1], caps) == [coords]
         for rt in radicands:
             weight = {exp: prod(factorial(e) for e in exp) for exp in rt}
             g = sqrt1(
@@ -496,15 +504,23 @@ def test_integer_engine_rejects_non_integral_table():
     ],
 )
 def test_integer_engine_rejects_non_integral_symmetric_table(radicand, cell):
-    # symmetric in the head coordinates, whose mirror rows are copied; the
-    # first odd cell, in the first row or in a computed one, is still named
-    assert series._head_classes(radicand, (3, 3, 3)) == [(0, 1)]
+    # symmetric in all coordinates or in the head ones, whose mirror rows
+    # and cells are copied; the first odd cell, in the first row or in a
+    # computed one, is still named
+    full = radicand[(0, 0, 1)] == radicand[(1, 0, 0)]
+    assert series._symmetry_classes(radicand, (3, 3, 3)) == ([(0, 1, 2)] if full else [(0, 1)])
     with pytest.raises(EngineError, match=re.escape(str(cell))):
         series._sqrt_table(radicand, (3, 3, 3))
 
 
 def _cells_sha256(egf: TruncatedSeries) -> str:
     return hashlib.sha256(",".join(map(str, egf._coeffs)).encode()).hexdigest()
+
+
+def test_tripartite_window_has_one_symmetry_class():
+    caps = (12, 12, 12)
+    radicand = series._radicand_terms(TRIPARTITE, caps, series._radicand_pairs(TRIPARTITE, caps))
+    assert series._symmetry_classes(radicand, caps) == [(0, 1, 2)]
 
 
 def test_tripartite_window_is_symmetric():
@@ -542,8 +558,11 @@ def test_path_template_with_its_twins_in_the_head(phi):
     path = HSpec(Graph(3, [(0, 1), (1, 2)]), phi)
     moved = HSpec(Graph(3, [(0, 2), (1, 2)]), (phi[0], phi[2], phi[1]))
     caps = (8, 8, 8)
+    twins = phi[0] == phi[2]
+    radicand = series._radicand_terms(path, caps, series._radicand_pairs(path, caps))
+    assert series._symmetry_classes(radicand, caps) == ([(0, 2)] if twins else [])
     radicand = series._radicand_terms(moved, caps, series._radicand_pairs(moved, caps))
-    assert series._head_classes(radicand, caps) == ([(0, 1)] if phi[0] == phi[2] else [])
+    assert series._symmetry_classes(radicand, caps) == ([(0, 1)] if twins else [])
     want, got = hgraph_egf(path, caps), hgraph_egf(moved, caps)
     for a, b, c in want.exponents():
         assert got._coeffs[got._index((a, c, b))] == want._coeffs[want._index((a, b, c))]
