@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ComputationRefused, InputError, LeadingCoefficientZero, NoConvergentExponent
+from .errors import (ComputationRefused, InputError, LeadingCoefficientZero, Meter,
+                     NoConvergentExponent)
 from .recurrences import PRecurrence, _poly_blocks, extend
 
 _RESCALE_AT = 1e120
@@ -80,7 +81,7 @@ def log_sequence(rec: PRecurrence, initial, n_max: int) -> LogSequence:
     the exact integer values and refused. Zero or sign-flipping tails are
     refused: growth extraction here targets eventually-positive sequences,
     and so are warmup terms, coefficient values or float steps beyond float
-    range.
+    range. An iteration of over ITERATION_WORK_BUDGET steps is refused first.
     """
     L = rec.order
     if n_max < rec.offset + L + 2:
@@ -88,11 +89,8 @@ def log_sequence(rec: PRecurrence, initial, n_max: int) -> LogSequence:
     if n_max > MAX_LOG_TERMS:
         raise ComputationRefused(f"n_max is over the limit of {MAX_LOG_TERMS} logged terms")
     work = n_max * sum(d + 1 for d in rec.degrees())
-    if work > ITERATION_WORK_BUDGET:
-        raise ComputationRefused(
-            f"iterating to n_max {n_max} needs about {work:.2g} steps, "
-            f"over the budget of {ITERATION_WORK_BUDGET:.2g}"
-        )
+    Meter(ITERATION_WORK_BUDGET, f"iterating to n_max {n_max} needs about {work:.2g} steps, "
+          f"over the budget of {ITERATION_WORK_BUDGET:.2g}").charge(work)
     ipolys = rec.integer_polys()
     for p, d in zip(ipolys, rec.degrees()):
         # bounds |P(x)| for 0 <= x <= n_max, every index the iteration reads

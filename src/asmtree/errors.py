@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the Meter of work budgets.
 
 The CLI maps these onto exit codes: InputError -> 2 (bad input),
 ComputationRefused and EngineError -> 1 (computation refused / internal
@@ -20,6 +20,19 @@ class ComputationRefused(AsmtreeError, RuntimeError):
 
 class CapExceeded(ComputationRefused):
     pass
+
+
+class Meter:
+    """A work budget: charge(units) adds to `work` and raises CapExceeded
+    with the one-line `refusal` once `work` passes `limit`."""
+
+    def __init__(self, limit: int, refusal: str):
+        self.work, self.limit, self.refusal = 0, limit, refusal
+
+    def charge(self, units: int) -> None:
+        self.work += units
+        if self.work > self.limit:
+            raise CapExceeded(self.refusal)
 
 
 class DisconnectedGraph(ComputationRefused):

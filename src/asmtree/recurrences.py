@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, count, islice
 from math import gcd, isqrt, lcm
 
-from .errors import ComputationRefused, InputError, LeadingCoefficientZero
+from .errors import InputError, LeadingCoefficientZero, Meter
 from .rationals import format_rational, is_int, parse_rational
 
 
@@ -395,22 +395,19 @@ def guess(seq, max_order: int, max_degree: int) -> PRecurrence | None:
     (max_order+1)(max_degree+1) + 2*max_order + 5 terms, so every cell is
     tried. Each cell's kernel is exact (see _kernel). Returns None when
     nothing verifies; the result is normalized (content removed, leading
-    coefficient positive). Raises ComputationRefused, before any
-    elimination, when the cells exceed GUESS_WORK_BUDGET.
+    coefficient positive). Raises CapExceeded, before any elimination,
+    when the cells exceed GUESS_WORK_BUDGET: each cell charges a Meter of
+    that budget its steps.
     """
     for name, value, least in (("max_order", max_order, 1), ("max_degree", max_degree, 0)):
         if not is_int(value) or value < least:
             raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
-    work = 0
+    meter = Meter(GUESS_WORK_BUDGET, f"the cells up to these bounds need over "
+                  f"{GUESS_WORK_BUDGET:.2g} elimination steps, the budget of one guess")
     for order in range(1, max_order + 1):
         for degree in range(max_degree + 1):
             u = (order + 1) * (degree + 1)
-            work += (u + 2) * u * u
-            if work > GUESS_WORK_BUDGET:
-                raise ComputationRefused(
-                    f"the cells up to these bounds need over {GUESS_WORK_BUDGET:.2g} "
-                    "elimination steps, the budget of one guess"
-                )
+            meter.charge((u + 2) * u * u)
     seq = [Fraction(v) for v in seq]
     needed = (max_order + 1) * (max_degree + 1) + 2 * max_order + 5
     if len(seq) < needed:

@@ -30,9 +30,9 @@ exact division per coefficient and O(#terms of R) work per coefficient
 f, and hgraph_egf stores it as it is. Cells that a permutation of
 interchangeable template vertices maps onto earlier cells are copied, not
 computed: whole rows, and the start of each computed row when the row
-axis (the last coordinate) has twins. Before any work, a window's cost is
-estimated and refused over EGF_WORK_BUDGET; a symmetric window such as the
-tripartite one takes a fraction of its estimate.
+axis (the last coordinate) has twins. A Meter of EGF_WORK_BUDGET steps is
+charged a window's estimated cost before its work; a symmetric window such
+as the tripartite one takes a fraction of its estimate.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, prod
 
-from .errors import ComputationRefused, DisconnectedGraph, EngineError, InputError
+from .errors import DisconnectedGraph, EngineError, InputError, Meter
 from .graphs import HSpec, is_connected_subset
 from .rationals import binom_half, format_rational, is_int
 
@@ -162,32 +162,35 @@ class TruncatedSeries:
         ]
 
 
-# Work budget of one EGF window, in the steps of _check_window_work; with
+# Work budget of one EGF window, in the steps of _window_meter; with
 # CPython 3.11 on a 2-vCPU virtual machine a window runs 10-21 million
 # steps per second, so an admitted window takes at most about 2.5 s. The
 # tripartite window at caps 66 (acceptance criterion 7) is estimated at
 # 1.4e7; _sqrt_table copies the mirror cells of a symmetric window, so the
 # tripartite window takes a fifth or less of the time its estimate allows.
+# A read of a cell is priced at 20 steps (1-2 us), but `asmtree series`
+# reads and prints a cell in about 10 us, so the command takes longer than
+# its window: 4.8 s, 347 MB and 61 MB of stdout at tripartite caps 76.
 EGF_WORK_BUDGET = 25_000_000
 
 
-def _check_window_work(caps, terms: int) -> None:
-    """Refuse a window whose estimated steps exceed EGF_WORK_BUDGET. The
-    cell coefficients have at most about top*log2(top) bits (words of 64
-    bits), top = sum(caps). Per cell: 1 + words/8 per radicand term of the
-    recurrence (a term multiplies and adds coefficients of that size, and
-    the pair terms of a clique-bit block carry large tree counts of their
-    own), 20 for dividing the cell by its factorials when it is read
-    (`asmtree series` reads every cell), and words^2/128 for the exact
-    division and gcd of the cell's coefficient."""
+def _window_meter(caps):
+    """Charge a Meter of EGF_WORK_BUDGET the estimated steps of the cells
+    of the window `caps`, and return the function that charges it those of
+    its radicand terms. The cell coefficients have at most about
+    top*log2(top) bits (words of 64 bits), top = sum(caps). Per cell: 20 for
+    dividing the cell by its factorials when it is read (`asmtree series`
+    reads every cell), words^2/128 for the exact division and gcd of the
+    cell's coefficient, and 1 + words/8 per radicand term of the recurrence
+    (a term multiplies and adds coefficients of that size, and the pair
+    terms of a clique-bit block carry large tree counts of their own)."""
     top = sum(caps)
     words = top * top.bit_length() // 64
-    work = prod(c + 1 for c in caps) * (terms * (8 + words) // 8 + 20 + words * words // 128)
-    if work > EGF_WORK_BUDGET:
-        raise ComputationRefused(
-            f"EGF window {tuple(caps)} with {terms} radicand terms needs about "
-            f"{work:.2g} steps, over the budget of {EGF_WORK_BUDGET:.2g}"
-        )
+    cells = prod(c + 1 for c in caps)
+    meter = Meter(EGF_WORK_BUDGET, f"EGF window {tuple(caps)} needs over "
+                  f"{EGF_WORK_BUDGET:.2g} steps, the budget of one window")
+    meter.charge(cells * (20 + words * words // 128))
+    return lambda terms: meter.charge(cells * (terms * (8 + words) // 8))
 
 
 def _symmetry_classes(window: dict, caps: tuple) -> list[tuple[int, ...]]:
@@ -346,9 +349,10 @@ def _radicand_pairs(spec: HSpec, caps) -> list[tuple[int, int]]:
     a nonzero cap (only those occur in a window monomial)."""
     base = spec.base
     live = sum(1 << i for i in range(base.n) if caps[i])
-    blocks = {
-        b for b in range(1, live + 1) if b & live == b and is_connected_subset(base, b)
-    }
+    blocks, b = set(), 0
+    while b := (b - live) & live:  # submasks of `live` in increasing order
+        if is_connected_subset(base, b):
+            blocks.add(b)
     pairs = []
     for u in sorted(blocks):
         far = live & ~u
@@ -356,10 +360,7 @@ def _radicand_pairs(spec: HSpec, caps) -> list[tuple[int, int]]:
             if u >> i & 1:
                 far &= ~base.adj[i]
         v = 0
-        while True:  # submasks of `far` in increasing order
-            v = (v - far) & far
-            if not v:
-                break
+        while v := (v - far) & far:  # submasks of `far` in increasing order
             if v > u and v in blocks:
                 pairs.append((u, v))
     return pairs
@@ -426,8 +427,9 @@ def hgraph_egf(spec: HSpec, caps) -> TruncatedSeries:
     adjacent to all others, R is the quadratic polynomial
     1 - 2*sum x_i + sum_{phi(i)=0} x_i^2 + 2*sum_{{i,j} not in E(H)} x_i x_j.
     Elsewhere R carries the parts A_U, read recursively from this EGF on
-    faces of the window. Raises ComputationRefused when the window is over
-    EGF_WORK_BUDGET, before any face is computed; a face never estimates
+    faces of the window. Raises CapExceeded over EGF_WORK_BUDGET, on the
+    window's cells before its pairs are listed and on its radicand terms
+    before any face is computed (_window_meter); a face never estimates
     more than its window (fewer cells, a subset of the pairs, smaller caps).
     """
     if not spec.base.is_connected():
@@ -436,12 +438,11 @@ def hgraph_egf(spec: HSpec, caps) -> TruncatedSeries:
     if len(caps) != spec.base.n:
         raise InputError(f"caps must have {spec.base.n} entries")
     _check_caps(caps)
+    charge_terms = _window_meter(caps)
     pairs = _radicand_pairs(spec, caps)
     # x_i and x_i^2 for every vertex, at most, plus the pair products
-    terms = 2 * spec.base.n + sum(
-        _block_size(spec, caps, u) * _block_size(spec, caps, v) for u, v in pairs
-    )
-    _check_window_work(caps, terms)
+    charge_terms(2 * spec.base.n + sum(_block_size(spec, caps, u) * _block_size(spec, caps, v)
+                                       for u, v in pairs))
     table = _sqrt_table(_radicand_terms(spec, caps, pairs), caps)
     table[0] = 0
     return TruncatedSeries(caps, table)
@@ -477,7 +478,7 @@ def b_egf(N: int, M: int, J: int, cap: int) -> list[Fraction]:
     if not (is_int(cap) and cap >= 0):
         raise InputError("b_egf needs cap >= 0")
     radicand = {(0,): 1, (1,): -2 * N, (2,): 2 * (2 * comb(N, 2) - 2 * M + J)}
-    _check_window_work((cap,), 2)
+    _window_meter((cap,))(2)
     table = _sqrt_table(radicand, (cap,))
     fact = _factorials(cap)
     return [Fraction(0)] + [Fraction(t, d) for t, d in zip(table[1:], fact[1:])]

@@ -8,30 +8,31 @@ cell is one vertex. The first such path orders the vertices as the first
 leaf; every other leaf whose order maps the first leaf's to an
 automorphism gives a generator. Orbit pruning keeps the search to one
 subtree per orbit of each stabiliser, so only generators are found: the
-group, which may have n! elements, is never listed.
+group, which may have n! elements, is never listed. The search charges a
+Meter (errors.Meter) as it goes and stops by raising CapExceeded at the
+charge that passes its limit.
 """
 
 from __future__ import annotations
 
+from .errors import Meter
 from .graphs import _mapped, _neighbours
 
 
-def _refine(adj, cells: list[int], queue: list[int], work: int,
-            limit: int) -> tuple[list[int], int]:
+def _refine(adj, cells: list[int], queue: list[int], meter: Meter) -> list[int]:
     """Split the ordered cells (vertex masks) by their neighbours in each
     cell of `queue` until every vertex of a cell has as many neighbours in
     each cell as the others of its cell. A split cell's fragments take its
     place in order of their count, and all but its first largest fragment
     join the queue, since the counts into the cell give the counts into that
     one. So an automorphism that maps the cells and the queue onto
-    themselves maps the result onto itself. Each splitter adds to `work` the
-    cells it examines, a unit per cell and one more per 1,024 bits of a
-    mask, and refinement stops after the splitter that takes the work past
-    `limit`. Returns the cells and the work."""
+    themselves maps the result onto itself. Each splitter charges the meter
+    the cells it examines, a unit per cell and one more per 1,024 bits of a
+    mask, before it splits them. Returns the cells."""
     cost = 1 + (len(adj) >> 10)
-    while queue and len(cells) < len(adj) and work <= limit:
+    while queue and len(cells) < len(adj):
         w = queue.pop()
-        work += len(cells) * cost
+        meter.charge(len(cells) * cost)
         out = []
         if not w & w - 1:  # one vertex: a cell splits into non-neighbours, neighbours
             nb = adj[w.bit_length() - 1]
@@ -65,13 +66,12 @@ def _refine(adj, cells: list[int], queue: list[int], work: int,
             del parts[sizes.index(max(sizes))]
             queue += parts
         cells = out
-    return cells, work
+    return cells
 
 
-def _individualise(adj, cells: list[int], i: int, v: int, work: int,
-                   limit: int) -> tuple[list[int], int]:
+def _individualise(adj, cells: list[int], i: int, v: int, meter: Meter) -> list[int]:
     """Refine the cells after taking vertex mask v out of cell i, before it."""
-    return _refine(adj, cells[:i] + [v, cells[i] ^ v] + cells[i + 1:], [v], work, limit)
+    return _refine(adj, cells[:i] + [v, cells[i] ^ v] + cells[i + 1:], [v], meter)
 
 
 def _orbits(gens: list[list[int]], mask: int) -> int:
@@ -86,13 +86,12 @@ def _orbits(gens: list[list[int]], mask: int) -> int:
     return mask
 
 
-def automorphisms(adj, cells: list[int], limit: int) -> tuple[list[list[int]], int]:
+def automorphisms(adj, cells: list[int], meter: Meter) -> list[list[int]]:
     """Generators of the automorphisms of the graph `adj` that map each of
     the ordered `cells` (its colour classes) onto itself, as vertex
-    permutations, and the work done: the cells examined by refinement
-    (priced by _refine), one unit per node and n per leaf. Refinement checks
-    the work after each splitter, so the search stops, with no generators,
-    within one splitter past `limit`.
+    permutations. The meter is charged the cells examined by refinement
+    (priced by _refine), one unit per node and n per leaf, so the search
+    raises CapExceeded at the charge that passes its limit.
 
     The base is the sequence of vertices individualised on the first path.
     From the deepest base vertex v up, every w of v's cell outside the
@@ -106,16 +105,16 @@ def automorphisms(adj, cells: list[int], limit: int) -> tuple[list[list[int]], i
     A graph whose refinement alone separates every vertex has none.
     """
     n = len(adj)
-    cells, work = _refine(adj, cells, list(cells), 0, limit)
+    cells = _refine(adj, cells, list(cells), meter)
     path = [cells]  # the first path; base[k] is individualised below path[k]
     base: list[tuple[int, int]] = []  # (index of its cell, vertex mask)
-    while len(cells) < n and work <= limit:
+    while len(cells) < n:
         i = next(i for i, x in enumerate(cells) if x & x - 1)
         base.append((i, cells[i] & -cells[i]))
-        cells, work = _individualise(adj, cells, i, base[-1][1], work, limit)
+        cells = _individualise(adj, cells, i, base[-1][1], meter)
         path.append(cells)
-    if not base or work > limit:
-        return [], work
+    if not base:
+        return []
     first = [x.bit_length() - 1 for x in cells]
     shapes = [[x.bit_count() for x in cells] for cells in path]
     gens: list[list[int]] = []
@@ -129,9 +128,8 @@ def automorphisms(adj, cells: list[int], limit: int) -> tuple[list[list[int]], i
             found = None
             while stack and found is None:
                 depth, cells, x = stack.pop()
-                cells, work = _individualise(adj, cells, base[depth][0], x, work + 1, limit)
-                if work > limit:
-                    return [], work
+                meter.charge(1)
+                cells = _individualise(adj, cells, base[depth][0], x, meter)
                 depth += 1
                 if [c.bit_count() for c in cells] != shapes[depth]:
                     continue
@@ -144,25 +142,25 @@ def automorphisms(adj, cells: list[int], limit: int) -> tuple[list[list[int]], i
                 perm = [0] * n
                 for a, c in zip(first, cells):
                     perm[a] = c.bit_length() - 1
-                work += n
+                meter.charge(n)
                 if all(_mapped(perm, adj[a]) == adj[perm[a]] for a in range(n)):
                     found = perm
             if found is not None:
                 gens.append(found)
             covered = _orbits(gens, covered | w)
             rest &= ~covered
-    return gens, work
+    return gens
 
 
-def layout_automorphisms(adj, blocks, limit: int) -> tuple[list[list[list[int]]], int]:
+def layout_automorphisms(adj, blocks, meter: Meter) -> list[list[list[int]]]:
     """Byte tables of generators of the automorphisms of a twin layout,
     whose one-vertex classes come first and whose larger classes are the
-    `blocks` (offset, size) above them, and the work of the search and of
-    the tables, which stops with no generators past `limit`. They are the
-    automorphisms of the twin quotient (one vertex per class) that keep
-    each class's size and twin type, lifted so that twin j of a block goes
-    to twin j of its image, so they map states to states. Generator g maps a vertex mask u to the
-    union over i of g[i][u >> 8i & 255]."""
+    `blocks` (offset, size) above them; the meter is charged the search and
+    the tables. They are the automorphisms of the twin quotient (one vertex
+    per class) that keep each class's size and twin type, lifted so that
+    twin j of a block goes to twin j of its image, so they map states to
+    states. Generator g maps a vertex mask u to the union over i of
+    g[i][u >> 8i & 255]."""
     n = len(adj)
     singles = n - sum(k for _, k in blocks)
     # a block's first twin stands for it, and it is not its own neighbour
@@ -177,13 +175,11 @@ def layout_automorphisms(adj, blocks, limit: int) -> tuple[list[list[list[int]]]
     for i, key in enumerate(keys):
         colour[key] = colour.get(key, 0) | 1 << i
     cells = [colour[key] for key in sorted(colour)]
-    gens, work = automorphisms(qadj, cells, limit)
+    gens = automorphisms(qadj, cells, meter)
     # a table entry is an n-bit int: one of w words costs w units, charged
     # before any is built, so the budget bounds their memory too
     entries = sum(1 << min(8, n - lo) for lo in range(0, n, 8))
-    work += len(gens) * entries * (1 + (n >> 6))
-    if work > limit:
-        return [], work
+    meter.charge(len(gens) * entries * (1 + (n >> 6)))
     tables = []
     for gen in gens:
         lift = gen[:singles]
@@ -198,13 +194,13 @@ def layout_automorphisms(adj, blocks, limit: int) -> tuple[list[list[list[int]]]
                 t += [y | bit for y in t]
             byte_tables.append(t)
         tables.append(byte_tables)
-    return tables, work
+    return tables
 
 
-def fill_orbit(gens: list[list[list[int]]], u: int, counts: dict[int, int]) -> int:
+def fill_orbit(gens: list[list[list[int]]], u: int, counts: dict[int, int], meter: Meter) -> None:
     """Give every state of u's orbit under the generators `gens`, byte
-    tables as layout_automorphisms returns them, the count of u, and return
-    the work: a generator applied to a state of the orbit looks up each of
+    tables as layout_automorphisms returns them, the count of u, and charge
+    the meter: a generator applied to a state of the orbit looks up each of
     its n/8 bytes and ORs images of n/64 words, a unit per 4 lookups or per
     64 words ORed, at least one. An orbit is closed, so no state of it is
     in `counts` before u."""
@@ -223,4 +219,4 @@ def fill_orbit(gens: list[list[list[int]]], u: int, counts: dict[int, int]) -> i
             if x not in counts:
                 counts[x] = total
                 orbit.append(x)
-    return len(orbit) * step
+    meter.charge(len(orbit) * step)

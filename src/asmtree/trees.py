@@ -32,8 +32,9 @@ image, maps each state to a state with the same count, so the splits of
 one state per orbit are enough. The enumerators run the same walk on
 explicit trees. The gluing route stays independent of anchored splits: it
 joins the trees of the two sides of the last edge of each spanning tree,
-memoised on subtrees. One work budget bounds all three, and each is
-metered as it goes.
+memoised on subtrees. One work budget bounds all three: each call charges
+a Meter of TREE_WORK_BUDGET units as it goes, which raises CapExceeded at
+the charge that passes it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 from itertools import accumulate, chain, combinations
 from math import comb, factorial, prod
 
-from .errors import CapExceeded, ComputationRefused, DisconnectedGraph, InputError
+from .errors import CapExceeded, ComputationRefused, DisconnectedGraph, InputError, Meter
 from .graphs import Graph, _component, _components, _neighbours, relabel
 from .rationals import is_int
 from .symmetry import fill_orbit, layout_automorphisms
@@ -63,9 +64,8 @@ def _check_countable(g: Graph, what: str) -> None:
         raise DisconnectedGraph(f"{what}: graph is not connected")
 
 
-def _check_work(work: int, need: str) -> None:
-    if work > TREE_WORK_BUDGET:
-        raise CapExceeded(f"{need} over {TREE_WORK_BUDGET:.2g} units of work, the cap")
+def _meter(need: str) -> Meter:
+    return Meter(TREE_WORK_BUDGET, f"{need} over {TREE_WORK_BUDGET:.2g} units of work, the cap")
 
 
 class AssemblyTree:
@@ -282,9 +282,8 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
     _check_countable(g, what)
     adj, blocks = _twin_layout(g)
     classes = g.n - sum(k - 1 for _, k in blocks)
-    need = f"{what}: {g.n} vertices in {classes} twin classes need"
-    gens, work = layout_automorphisms(adj, blocks, TREE_WORK_BUDGET)
-    _check_work(work, need)
+    meter = _meter(f"{what}: {g.n} vertices in {classes} twin classes need")
+    gens = layout_automorphisms(adj, blocks, meter)
     a: dict[int, int] = {}
     for u, splits in _walk(adj, blocks, not connected_rule, a):
         total = count = 0  # count: the counts that the splits multiply
@@ -305,11 +304,10 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
         # count of w words costs w^2/1024 more (the total bounds w), as
         # big-integer products dominate there, and one more per 256 twin
         # classes, as the splits of a wide quotient handle wide masks
-        work += ((count + 1) * (1 + (classes >> 8) + (total.bit_length() >> 6) ** 2 // 1024)
-                 + (u.bit_length() >> 6))
+        meter.charge((count + 1) * (1 + (classes >> 8) + (total.bit_length() >> 6) ** 2 // 1024)
+                     + (u.bit_length() >> 6))
         if gens:
-            work += fill_orbit(gens, u, a)
-        _check_work(work, need)
+            fill_orbit(gens, u, a, meter)
     return a
 
 
@@ -326,26 +324,25 @@ def _trees_by_subset(g: Graph, connected_rule: bool) -> dict[int, list[AssemblyT
     every weight 1): a tree of u joins a tree of a part s with a forest of
     u - s, one from each of its components c. The forests of c are its
     trees as one-part forests, plus, under the connected rule, its joins.
-    Each tree and forest costs a unit of work, charged before it is built.
+    Each tree and forest charges the meter a unit before it is built.
     """
-    need = f"enumerate_{'connected' if connected_rule else 'edge'}_rule: {g.n} vertices need"
+    rule = "connected" if connected_rule else "edge"
+    meter = _meter(f"enumerate_{rule}_rule: {g.n} vertices need")
     trees: dict[int, list[AssemblyTree]] = {}
     forests: dict[int, list[tuple[AssemblyTree, ...]]] = {}
-    work = 0
     for u, splits in _walk(g.adj, (), not connected_rule):
         joins = []
         for _, s, r in splits:
             cs = list(_components(g.adj, r))
             # a join is a tree and a one-part forest, and a forest itself
             # under the connected rule
-            work += (2 + connected_rule) * len(trees[s]) * prod(len(forests[c]) for c in cs)
-            _check_work(work, need)
+            meter.charge((2 + connected_rule) * len(trees[s]) * prod(len(forests[c]) for c in cs))
             fs = [()]
             for c in cs:
                 fs = [f + h for f in fs for h in forests[c]]
             joins += [(t,) + f for t in trees[s] for f in fs]
         if not u & u - 1:
-            work += 2  # a leaf and its one-part forest
+            meter.charge(2)  # a leaf and its one-part forest
         trees[u] = [AssemblyTree(u, j) for j in joins] if u & u - 1 else [AssemblyTree(u)]
         forests[u] = [(t,) for t in trees[u]] + (joins if connected_rule else [])
     return trees
@@ -423,8 +420,8 @@ def trees_from_gluing_sequences(g: Graph) -> set[CanonicalCode]:
     components T1, T2 of T - e, and any orderings of T1 and T2 interleave
     before e, so the trees of T are the joins trees(T1) x trees(T2) over
     the edges e of T. Spanning trees share subtrees, so the trees of each
-    are memoised on its edge set. A join costs 4 units of work, charged
-    before it is built; a tree of k edges has at least 2^(k-1) trees, so a
+    are memoised on its edge set. A join charges the meter 4 units before
+    it is built; a tree of k edges has at least 2^(k-1) trees, so a
     graph on n vertices is refused before any join when 4·2^(n-2) units
     exceed the budget.
     """
@@ -441,11 +438,10 @@ def trees_from_gluing_sequences(g: Graph) -> set[CanonicalCode]:
         incident[v].append((b, u))
     leaves = [AssemblyTree.leaf(v) for v in range(g.n)]
     memo: dict[int, list[AssemblyTree]] = {}
-    work = 0
+    meter = _meter(need)
 
     def joined(mask: int, root: int):
         """Yield the trees of the tree with edge set `mask` that holds `root`."""
-        nonlocal work
         if not mask:
             yield leaves[root]
             return
@@ -462,8 +458,7 @@ def trees_from_gluing_sequences(g: Graph) -> set[CanonicalCode]:
         for v in order[1:]:  # e = up[v]; T1 holds v, T2 the root
             t1s = glue(below[v], v)
             t2s = glue(mask ^ up[v] ^ below[v], root)
-            work += 4 * len(t1s) * len(t2s)
-            _check_work(work, need)
+            meter.charge(4 * len(t1s) * len(t2s))
             for t1 in t1s:
                 for t2 in t2s:
                     yield AssemblyTree(label, (t1, t2))

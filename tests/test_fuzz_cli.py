@@ -17,6 +17,7 @@ import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -190,6 +191,7 @@ def _run(argv):
     assert elapsed < WALL_S, (argv, elapsed)
     if code:
         assert out.getvalue() == "", argv
+    return code, elapsed
 
 
 def _with_seq_file(tmp_path_factory, argv, lines):
@@ -295,6 +297,26 @@ def test_fuzz_count_metered(argv):
 )
 def test_fuzz_series(argv):
     _run(argv)
+
+
+def _path_series(caps):
+    """`series` on the path template with one vertex per cap."""
+    n = len(caps)
+    edges = [[v, v + 1] for v in range(n - 1)]
+    return ["series", "--hgraph", _hgraph_json((n, edges, [0] * n, [1] * n)),
+            "--caps", ",".join(map(str, caps))]
+
+
+@pytest.mark.parametrize("argv,want", [
+    # 4 cells on the two ends of a 28-vertex path: its radicand pairs are
+    # found among the subsets of the live vertices, not every smaller mask
+    (_path_series([1] + [0] * 26 + [1]), 0),
+    # 2^22 cells, refused on its cells before any pair is listed
+    (_path_series([1] * 22), 1),
+], ids=["path28_ends", "path22_all"])
+def test_wide_path_windows_end_at_once(argv, want):
+    code, elapsed = _run(argv)
+    assert code == want and elapsed < 1.0
 
 
 @FUZZ

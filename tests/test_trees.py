@@ -38,6 +38,7 @@ from asmtree import (
     trees_from_gluing_sequences,
 )
 from asmtree import trees
+from asmtree.errors import Meter
 from asmtree.graphs import _connected_mask, _mapped
 from asmtree.symmetry import automorphisms, layout_automorphisms
 
@@ -84,6 +85,29 @@ def test_work_budget_override(monkeypatch):
     monkeypatch.setattr(trees, "_walk", None)
     with pytest.raises(CapExceeded, match="units of work"):
         count_edge_rule(family("path", [5]))
+
+
+def test_meter_admits_its_limit_and_refuses_one_unit_more():
+    meter = Meter(10, "over ten units")
+    meter.charge(4)
+    meter.charge(6)  # exactly at the limit
+    assert meter.work == 10
+    with pytest.raises(CapExceeded, match="^over ten units$"):
+        meter.charge(1)
+    assert meter.work == 11
+
+
+@pytest.mark.parametrize("g,charge,count", [
+    (family("path", [5]), 102, 14),
+    (family("complete_multipartite", [3, 3]), 134, 450),
+], ids=["P5", "K33"])
+def test_edge_rule_charges_are_pinned(g, charge, count, monkeypatch):
+    # a budget equal to the charge admits the graph, one unit less refuses it
+    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", charge)
+    assert count_edge_rule(g) == count
+    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", charge - 1)
+    with pytest.raises(CapExceeded, match="units of work, the cap"):
+        count_edge_rule(g)
 
 
 def test_enumerate_sizes():
@@ -688,10 +712,12 @@ def test_symmetry_search_stops_within_one_splitter_past_its_limit():
     # the path refines by distance from its ends, one splitter at a time;
     # a splitter examines at most 2000 cells of 2 units each (one unit, and
     # one more per 1,024 bits of a mask)
+    meter = Meter(1000, "over the limit")
     t0 = time.perf_counter()
-    gens, work = automorphisms(family("path", [2000]).adj, [(1 << 2000) - 1], 1000)
+    with pytest.raises(CapExceeded, match="^over the limit$"):
+        automorphisms(family("path", [2000]).adj, [(1 << 2000) - 1], meter)
     assert time.perf_counter() - t0 < 0.5
-    assert gens == [] and 1000 < work <= 1000 + 2 * 2000
+    assert 1000 < meter.work <= 1000 + 2 * 2000
 
 
 @pytest.mark.parametrize("rule", [count_edge_rule, count_connected_rule])
@@ -740,7 +766,7 @@ def _group_order(perms: list[list[int]], n: int) -> int:
 ], ids=["cube", "petersen", "icosahedron", "dodecahedron", "grid4x4", "star2_7", "K444", "R15"])
 def test_symmetries_generate_the_automorphism_group(g, order):
     adj, blocks = trees._twin_layout(g)
-    tables, _ = layout_automorphisms(adj, blocks, trees.TREE_WORK_BUDGET)
+    tables = layout_automorphisms(adj, blocks, Meter(trees.TREE_WORK_BUDGET, ""))
     # generator i maps vertex v to the one bit of tables[i][v // 8][1 << v % 8]
     perms = [[ts[v >> 3][1 << (v & 7)].bit_length() - 1 for v in range(g.n)] for ts in tables]
     for p in perms:
