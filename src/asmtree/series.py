@@ -15,31 +15,33 @@ the last sum over unordered pairs of disjoint connected template vertex
 sets with no template edge between them, where A_U is the part of the EGF
 of the sub-template H[U] whose monomials use every variable of U. The
 blow-ups of H with multiplicity 0 off U are those of H[U], so A_U is read
-from the EGF of H itself on the face of the window that zeroes every cap
-off U, and no sub-template is built. Counts are recovered as coefficient
-times the product of factorials. When H is complete multipartite and
-clique bits sit only on vertices adjacent to all others, every pair is two
-independent-block singletons and R is the quadratic
+from the face of the window that zeroes every cap off U; one pass fills
+the face of each block once, after the faces inside it, then the window.
+Counts are recovered as coefficient times the product of factorials. When
+H is complete multipartite and clique bits sit only on vertices adjacent
+to all others, every pair is two independent-block singletons and R is
+the quadratic
 1 - 2*sum x_i + sum_{phi(i)=0} x_i^2 + 2*sum_{{i,j} not in E(H)} x_i x_j.
 
 The template EGF is computed in integers. With T[f] = (prod f_i!)*g[f] for
 g = sqrt(R) and the scaled radicand (prod m_i!)*R[m], the first-order
 identity 2*R*dg/dx_p = (dR/dx_p)*g becomes an integer recurrence with one
-exact division per coefficient and O(#terms of R) work per coefficient
-(_sqrt_table), which fills the table with -T: -T[f] is the tree count at
-f, and hgraph_egf stores it as it is. Cells that a permutation of
-interchangeable template vertices maps onto earlier cells are copied, not
-computed: whole rows, and the start of each computed row when the row
-axis (the last coordinate) has twins. A Meter of EGF_WORK_BUDGET steps is
-charged a window's estimated cost before its work; a symmetric window such
-as the tripartite one takes a fraction of its estimate.
+exact division per coefficient and work per coefficient over the terms
+m <= f of R only (_sqrt_table), which fills the table with -T: -T[f] is
+the tree count at f, and hgraph_egf stores it as it is. Cells that a
+permutation of interchangeable template vertices maps onto earlier cells
+are copied, not computed: whole rows, and the start of each computed row
+when the row axis (the last coordinate) has twins. One Meter of
+EGF_WORK_BUDGET steps is charged the estimated cost of the window and of
+each face before its work; a symmetric window takes a fraction of it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
-from math import comb, prod
+from math import comb, gcd, prod
 
 from .errors import DisconnectedGraph, EngineError, InputError, Meter
 from .graphs import HSpec, is_connected_subset
@@ -157,40 +159,46 @@ class TruncatedSeries:
         return f"TruncatedSeries(caps={self.caps}, [{head}...])"
 
     def to_json_obj(self) -> list:
-        return [
-            {"exp": list(exp), "coeff": format_rational(v)} for exp, v in self.terms()
-        ]
+        fact = _factorials(max(self.caps))
+        obj = []
+        for exp, v in self._cells():  # one gcd a cell, and no Fraction for an int cell
+            p, q = v.as_integer_ratio()
+            q *= prod(map(fact.__getitem__, exp))
+            g = gcd(p, q)
+            obj.append({"exp": list(exp), "coeff": f"{p // g}" + (f"/{q // g}" if g < q else "")})
+        return obj
 
 
-# Work budget of one EGF window, in the steps of _window_meter; with
-# CPython 3.11 on a 2-vCPU virtual machine a window runs 10-21 million
-# steps per second, so an admitted window takes at most about 2.5 s. The
-# tripartite window at caps 66 (acceptance criterion 7) is estimated at
-# 1.4e7; _sqrt_table copies the mirror cells of a symmetric window, so the
-# tripartite window takes a fifth or less of the time its estimate allows.
-# A read of a cell is priced at 20 steps (1-2 us), but `asmtree series`
-# reads and prints a cell in about 10 us, so the command takes longer than
-# its window: 4.8 s, 347 MB and 61 MB of stdout at tripartite caps 76.
+# Work budget of one EGF window and its faces, in the steps of _window_meter
+# on one Meter; with CPython 3.11 on a 2-vCPU virtual machine a window runs
+# 10-21 million steps per second, so an admitted window takes at most about
+# 2.5 s. The tripartite window at caps 66 (acceptance criterion 7) is
+# estimated at 1.4e7; _sqrt_table copies the mirror cells of a symmetric
+# window, so it takes a fifth or less of the time its estimate allows. A
+# read of a cell is priced at 20 steps (1-2 us), but `asmtree series` reads
+# and prints a cell in about 5 us, so the command takes longer than its
+# window: 4-6 s, 347 MB and 61 MB of stdout at tripartite caps 76.
 EGF_WORK_BUDGET = 25_000_000
 
 
-def _window_meter(caps):
-    """Charge a Meter of EGF_WORK_BUDGET the estimated steps of the cells
-    of the window `caps`, and return the function that charges it those of
-    its radicand terms. The cell coefficients have at most about
-    top*log2(top) bits (words of 64 bits), top = sum(caps). Per cell: 20 for
-    dividing the cell by its factorials when it is read (`asmtree series`
-    reads every cell), words^2/128 for the exact division and gcd of the
-    cell's coefficient, and 1 + words/8 per radicand term of the recurrence
-    (a term multiplies and adds coefficients of that size, and the pair
-    terms of a clique-bit block carry large tree counts of their own)."""
+def _window_meter(caps, meter=None):
+    """Charge `meter` (by default a new Meter of EGF_WORK_BUDGET that refuses
+    the window `caps`) the estimated steps of the cells of the window `caps`,
+    and return it with the function that charges it those of its radicand
+    terms. The cell coefficients have at most about top*log2(top) bits
+    (words of 64 bits), top = sum(caps). Per cell: 20 for dividing the cell
+    by its factorials when it is read (`asmtree series` reads every cell),
+    words^2/128 for the exact division and gcd of the cell's coefficient,
+    and 1 + words/8 per radicand term of the recurrence (a term multiplies
+    and adds coefficients of that size, and the pair terms of a clique-bit
+    block carry large tree counts of their own)."""
     top = sum(caps)
     words = top * top.bit_length() // 64
     cells = prod(c + 1 for c in caps)
-    meter = Meter(EGF_WORK_BUDGET, f"EGF window {tuple(caps)} needs over "
-                  f"{EGF_WORK_BUDGET:.2g} steps, the budget of one window")
+    meter = meter or Meter(EGF_WORK_BUDGET, f"EGF window {tuple(caps)} needs over "
+                           f"{EGF_WORK_BUDGET:.2g} steps, the budget of one window")
     meter.charge(cells * (20 + words * words // 128))
-    return lambda terms: meter.charge(cells * (terms * (8 + words) // 8))
+    return meter, lambda terms: meter.charge(cells * (terms * (8 + words) // 8))
 
 
 def _symmetry_classes(window: dict, caps: tuple) -> list[tuple[int, ...]]:
@@ -227,11 +235,12 @@ def _sqrt_table(radicand: dict, caps) -> list[int]:
                                            * prod_i C(f_i, m_i) * T[f - m].
 
     The recurrence is linear, so seeding -1 at f = 0 fills every cell with
-    -T. Each cell costs O(#terms). The division is exact when every scaled
-    term but the constant is even, as in every template radicand; a
+    -T, each cell at O(#terms m <= f). The division is exact when every
+    scaled term but the constant is even, as in every template radicand; a
     remainder raises EngineError. Cells are filled row by row along the last
     coordinate: terms that reach back into earlier rows are added to a
-    whole row at once, and terms in the last variable alone run along it.
+    whole row at once, visiting only those whose head is at most the row's
+    (the bitsets `fits`), and terms in the last variable alone run along it.
 
     sqrt(R) with constant term 1 is unique, so a permutation of the
     coordinates that fixes the windowed radicand and the caps fixes T, and
@@ -271,6 +280,8 @@ def _sqrt_table(radicand: dict, caps) -> list[int]:
             cross.append((nz, sum(e * strides[i] for i, e in nz), m, r))
         else:
             along.append((m[-1], r))
+    fits = [[sum(1 << t for t, x in enumerate(cross) if x[2][i] <= v) for v in range(c + 1)]
+            for i, c in enumerate(head)]  # fits[i][v]: bit t set when cross[t] has m_i <= v
     col = {e: [comb(n, e) for n in range(max(caps) + 1)] for m in window for e in m if e}
     # terms in the last variable alone, weighted by C(j, e) at row cell j
     along_at = [[(e, r * col[e][j]) for e, r in along if e <= j] for j in range(width)]
@@ -315,9 +326,10 @@ def _sqrt_table(radicand: dict, caps) -> list[int]:
         p = next(i for i, e in enumerate(f) if e)
         two_fp = 2 * f[p]
         acc = [0] * (width - lo)  # cells lo.. of the row
-        for nz, back, m, r in cross:
-            if any(f[i] < e for i, e in nz):
-                continue
+        todo = reduce(int.__and__, map(list.__getitem__, fits, f))  # the cross terms with m <= f
+        while todo:
+            nz, back, m, r = cross[(todo & -todo).bit_length() - 1]
+            todo &= todo - 1
             c = r * (two_fp - 3 * m[p])
             for i, e in nz:
                 c *= col[e][f[i]]
@@ -343,14 +355,16 @@ def _sqrt_table(radicand: dict, caps) -> list[int]:
     return table
 
 
-def _radicand_pairs(spec: HSpec, caps) -> list[tuple[int, int]]:
+def _radicand_pairs(spec: HSpec, caps, meter: Meter) -> list[tuple[int, int]]:
     """The pairs {U, V} (bitsets, U < V) of disjoint connected template
     vertex sets with no template edge between them, over the vertices with
-    a nonzero cap (only those occur in a window monomial)."""
+    a nonzero cap (only those occur in a window monomial). Each submask
+    visited is charged 20 steps to `meter`, as a read of a cell."""
     base = spec.base
     live = sum(1 << i for i in range(base.n) if caps[i])
     blocks, b = set(), 0
     while b := (b - live) & live:  # submasks of `live` in increasing order
+        meter.charge(20)
         if is_connected_subset(base, b):
             blocks.add(b)
     pairs = []
@@ -361,31 +375,16 @@ def _radicand_pairs(spec: HSpec, caps) -> list[tuple[int, int]]:
                 far &= ~base.adj[i]
         v = 0
         while v := (v - far) & far:  # submasks of `far` in increasing order
+            meter.charge(20)
             if v > u and v in blocks:
                 pairs.append((u, v))
     return pairs
 
 
-def _block_size(spec: HSpec, caps, block: int) -> int:
-    """Number of monomials of A_U in the window (see _block_counts)."""
-    if not block & block - 1 and spec.phi[block.bit_length() - 1] == 0:
-        return 1
-    return prod(c for i, c in enumerate(caps) if block >> i & 1)
-
-
-def _block_counts(spec: HSpec, caps, block: int) -> dict:
-    """A_U as tree counts, read on the face of the window that zeroes every
-    cap off the connected vertex set `block` (a bitset): the blow-ups of H
-    with no vertex off U are those of H[U], so the cells of the face that
-    use every variable of U map exponents to (prod_i a_i!) * A_U[a]."""
-    face = tuple(c if block >> i & 1 else 0 for i, c in enumerate(caps))
-    return {e: c for e, c in hgraph_egf(spec, face)._cells()
-            if all(k or not block >> i & 1 for i, k in enumerate(e))}
-
-
-def _radicand_terms(spec: HSpec, caps, pairs) -> dict:
+def _radicand_terms(spec: HSpec, pairs, parts: dict) -> dict:
     """The scaled radicand (prod_i m_i!) * R[m] of R = (1 - A)^2 for the
-    template EGF A, over the window.
+    template EGF A, from the parts parts[U] = {a: (prod_i a_i!) * A_U[a]}
+    of the blocks of `pairs`.
 
     A = sum x_i + (1/2)*P_conn(A^2), where P_conn keeps the monomials whose
     blow-up is connected, so R = 1 - 2*sum x_i + (A^2 - P_conn(A^2)). A^2 is
@@ -393,8 +392,7 @@ def _radicand_terms(spec: HSpec, caps, pairs) -> dict:
     two components: two vertices of one independent block (x_i^2, scaled
     2), or two disjoint connected vertex sets U, V of the template with no
     template edge between them (2*A_U*A_V, scaled 2*count_U*count_V; see
-    _radicand_pairs, and _block_counts, which reads A_U on a face of the
-    window).
+    _radicand_pairs).
     """
     n = spec.base.n
     terms: dict[tuple, int] = {(0,) * n: 1}
@@ -405,11 +403,7 @@ def _radicand_terms(spec: HSpec, caps, pairs) -> dict:
         if spec.phi[i] == 0:
             e[i] = 2
             terms[tuple(e)] = 2
-    parts: dict[int, dict] = {}
     for u, v in pairs:
-        for block in (u, v):
-            if block not in parts:
-                parts[block] = _block_counts(spec, caps, block)
         for eu, cu in parts[u].items():
             for ev, cv in parts[v].items():
                 terms[tuple(a + b for a, b in zip(eu, ev))] = 2 * cu * cv
@@ -426,11 +420,12 @@ def hgraph_egf(spec: HSpec, caps) -> TruncatedSeries:
     When H is complete multipartite and every clique bit sits on a vertex
     adjacent to all others, R is the quadratic polynomial
     1 - 2*sum x_i + sum_{phi(i)=0} x_i^2 + 2*sum_{{i,j} not in E(H)} x_i x_j.
-    Elsewhere R carries the parts A_U, read recursively from this EGF on
-    faces of the window. Raises CapExceeded over EGF_WORK_BUDGET, on the
-    window's cells before its pairs are listed and on its radicand terms
-    before any face is computed (_window_meter); a face never estimates
-    more than its window (fewer cells, a subset of the pairs, smaller caps).
+    Elsewhere R carries the part A_U of each block U of its pairs, read from
+    the cells using every variable of U on the face of the window zeroing
+    every cap off U. Each face is filled once, after the faces inside it,
+    from the parts of the pairs inside it, and the window last. One Meter of
+    EGF_WORK_BUDGET is charged the window's cells, pair listing and terms,
+    then each face as a window (_window_meter), raising CapExceeded.
     """
     if not spec.base.is_connected():
         raise DisconnectedGraph("hgraph_egf needs a connected template graph")
@@ -438,12 +433,22 @@ def hgraph_egf(spec: HSpec, caps) -> TruncatedSeries:
     if len(caps) != spec.base.n:
         raise InputError(f"caps must have {spec.base.n} entries")
     _check_caps(caps)
-    charge_terms = _window_meter(caps)
-    pairs = _radicand_pairs(spec, caps)
+    meter, charge_terms = _window_meter(caps)
+    pairs = _radicand_pairs(spec, caps, meter)
+    # monomials of A_U in the window: x_i alone on an independent block {i}
+    size = {u: prod(c for i, c in enumerate(caps) if u >> i & 1)
+            if u & u - 1 or spec.phi[u.bit_length() - 1] else 1 for pair in pairs for u in pair}
     # x_i and x_i^2 for every vertex, at most, plus the pair products
-    charge_terms(2 * spec.base.n + sum(_block_size(spec, caps, u) * _block_size(spec, caps, v)
-                                       for u, v in pairs))
-    table = _sqrt_table(_radicand_terms(spec, caps, pairs), caps)
+    charge_terms(2 * spec.base.n + sum(size[u] * size[v] for u, v in pairs))
+    parts: dict[int, dict] = {}
+    for block in sorted(size):  # a block after its submasks, the blocks inside it
+        face = tuple(c if block >> i & 1 else 0 for i, c in enumerate(caps))
+        inner = [(u, v) for u, v in pairs if not (u | v) & ~block]
+        _window_meter(face, meter)[1](2 * spec.base.n + sum(size[u] * size[v] for u, v in inner))
+        cells = zip(product(*(range(c + 1) for c in face)),
+                    _sqrt_table(_radicand_terms(spec, inner, parts), face))
+        parts[block] = {e: c for e, c in cells if c and all(k for k, i in zip(e, face) if i)}
+    table = _sqrt_table(_radicand_terms(spec, pairs, parts), caps)
     table[0] = 0
     return TruncatedSeries(caps, table)
 
@@ -478,7 +483,7 @@ def b_egf(N: int, M: int, J: int, cap: int) -> list[Fraction]:
     if not (is_int(cap) and cap >= 0):
         raise InputError("b_egf needs cap >= 0")
     radicand = {(0,): 1, (1,): -2 * N, (2,): 2 * (2 * comb(N, 2) - 2 * M + J)}
-    _window_meter((cap,))(2)
+    _window_meter((cap,))[1](2)
     table = _sqrt_table(radicand, (cap,))
     fact = _factorials(cap)
     return [Fraction(0)] + [Fraction(t, d) for t, d in zip(table[1:], fact[1:])]

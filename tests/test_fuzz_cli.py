@@ -307,16 +307,24 @@ def _path_series(caps):
             "--caps", ",".join(map(str, caps))]
 
 
-@pytest.mark.parametrize("argv,want", [
+@pytest.mark.parametrize("argv,want,wall", [
     # 4 cells on the two ends of a 28-vertex path: its radicand pairs are
     # found among the subsets of the live vertices, not every smaller mask
-    (_path_series([1] + [0] * 26 + [1]), 0),
+    (_path_series([1] + [0] * 26 + [1]), 0, 1.0),
     # 2^22 cells, refused on its cells before any pair is listed
-    (_path_series([1] * 22), 1),
-], ids=["path28_ends", "path22_all"])
-def test_wide_path_windows_end_at_once(argv, want):
+    (_path_series([1] * 22), 1, 1.0),
+    # the largest admitted path with every cap 1: 87 faces, each filled once
+    (_path_series([1] * 13), 0, WALL_S),
+    # refused on its faces (3.9e7 steps, 3.7 s of work with the meter lifted)
+    (_path_series([1] * 14), 1, 1.0),
+    # refused on its radicand terms
+    (_path_series([1] * 15), 1, 1.0),
+    # refused while its pairs are listed
+    (_path_series([1] * 20), 1, 1.0),
+], ids=["path28_ends", "path22_all", "path13_all", "path14_all", "path15_all", "path20_all"])
+def test_wide_path_windows_end_at_once(argv, want, wall):
     code, elapsed = _run(argv)
-    assert code == want and elapsed < 1.0
+    assert code == want and elapsed < wall
 
 
 @FUZZ
@@ -361,7 +369,10 @@ def _path_corner(phi, upto):
 # clique bits on both leaves, at their largest admitted --upto
 @example(_path_corner([1, 0, 1], 25))
 @example(_path_corner([1, 1, 1], 25))
-# one clique leaf: the largest admitted --upto, and a refused one
+# one clique leaf: the largest admitted --upto (49 while each face had a
+# meter of its own and the pair listing none), the smallest refused one,
+# and a far larger one
+@example(_path_corner([0, 0, 1], 48))
 @example(_path_corner([0, 0, 1], 49))
 @example(_path_corner([0, 0, 1], 63))
 @given(

@@ -28,6 +28,7 @@ from asmtree import (
     is_connected_subset,
 )
 from asmtree import series
+from asmtree.rationals import format_rational
 
 BIPARTITE = HSpec(family("complete", [2]), (0, 0))
 # template edge with one independent side and one clique side; this
@@ -517,10 +518,48 @@ def _cells_sha256(egf: TruncatedSeries) -> str:
     return hashlib.sha256(",".join(map(str, egf._coeffs)).encode()).hexdigest()
 
 
-def test_tripartite_window_has_one_symmetry_class():
+def _spy_sqrt_table(monkeypatch) -> list:
+    """Record the (radicand, caps) of every _sqrt_table call, in order."""
+    calls, real = [], series._sqrt_table
+
+    def spy(radicand, caps):
+        calls.append((radicand, tuple(caps)))
+        return real(radicand, caps)
+
+    monkeypatch.setattr(series, "_sqrt_table", spy)
+    return calls
+
+
+def _window_radicand(monkeypatch, spec, caps) -> dict:
+    # hgraph_egf fills the window last, after every face
+    calls = _spy_sqrt_table(monkeypatch)
+    hgraph_egf(spec, caps)
+    assert calls[-1][1] == caps
+    return calls[-1][0]
+
+
+def test_tripartite_window_has_one_symmetry_class(monkeypatch):
     caps = (12, 12, 12)
-    radicand = series._radicand_terms(TRIPARTITE, caps, series._radicand_pairs(TRIPARTITE, caps))
+    radicand = _window_radicand(monkeypatch, TRIPARTITE, caps)
     assert series._symmetry_classes(radicand, caps) == [(0, 1, 2)]
+
+
+PATH12 = HSpec(family("path", [12]), (1,) * 12)
+
+
+def test_each_face_is_filled_once(monkeypatch):
+    # the 12-vertex path with every cap 1: its blocks are the 78 intervals,
+    # and all but the 4 that leave no room for a non-adjacent interval are
+    # in a pair, so 74 faces, each filled once, and the window last
+    calls = _spy_sqrt_table(monkeypatch)
+    hgraph_egf(PATH12, (1,) * 12)
+    faces = [caps for _, caps in calls]
+    assert len(faces) == 75 and len(set(faces)) == 75
+    assert faces[-1] == (1,) * 12
+    # a face comes after every face inside it
+    support = [frozenset(i for i, c in enumerate(f) if c) for f in faces]
+    for k, earlier in enumerate(support):
+        assert not any(later < earlier for later in support[k + 1 :])
 
 
 def test_tripartite_window_is_symmetric():
@@ -542,16 +581,18 @@ def test_tripartite_window_is_symmetric():
             (12, 12, 12),
             "24dc0e06f33974f02d1276b6c4613915aac7af5bada8f06f724afef1025cc5a1",
         ),
+        # recorded when each face was a recursive hgraph_egf call
+        (PATH12, (1,) * 12, "35c742f4f650005bf631854116055188d0e5ec7a707ecf591414318352ea515b"),
     ],
     ids=["tripartite-40", "tripartite-unequal-caps", "tripartite-larger-first-cap",
-         "path-one-clique-leaf"],
+         "path-one-clique-leaf", "path12-caps-1"],
 )
 def test_egf_windows_pinned(spec, caps, digest):
     assert _cells_sha256(hgraph_egf(spec, caps)) == digest
 
 
 @pytest.mark.parametrize("phi", [(1, 0, 1), (1, 0, 0)])
-def test_path_template_with_its_twins_in_the_head(phi):
+def test_path_template_with_its_twins_in_the_head(phi, monkeypatch):
     # the 3-vertex path with its middle vertex last: the leaves are head
     # coordinates 0 and 1, interchangeable when their clique bits agree,
     # and the radicand carries sub-template parts A_U
@@ -559,9 +600,9 @@ def test_path_template_with_its_twins_in_the_head(phi):
     moved = HSpec(Graph(3, [(0, 2), (1, 2)]), (phi[0], phi[2], phi[1]))
     caps = (8, 8, 8)
     twins = phi[0] == phi[2]
-    radicand = series._radicand_terms(path, caps, series._radicand_pairs(path, caps))
+    radicand = _window_radicand(monkeypatch, path, caps)
     assert series._symmetry_classes(radicand, caps) == ([(0, 2)] if twins else [])
-    radicand = series._radicand_terms(moved, caps, series._radicand_pairs(moved, caps))
+    radicand = _window_radicand(monkeypatch, moved, caps)
     assert series._symmetry_classes(radicand, caps) == ([(0, 1)] if twins else [])
     want, got = hgraph_egf(path, caps), hgraph_egf(moved, caps)
     for a, b, c in want.exponents():
@@ -584,14 +625,41 @@ def test_egf_windows_over_budget_are_refused_before_any_work(monkeypatch):
     def unreachable(*_):
         raise AssertionError("window work started")
 
+    # faces are filled by _sqrt_table too
     monkeypatch.setattr(series, "_sqrt_table", unreachable)
-    monkeypatch.setattr(series, "_block_counts", unreachable)
     with pytest.raises(ComputationRefused):
         hgraph_egf(TRIPARTITE, (3000, 3000, 3000))
     with pytest.raises(ComputationRefused):
         hgraph_egf(HSpec(Graph(3, [(0, 1), (1, 2)]), (1, 0, 1)), (60, 60, 60))
     with pytest.raises(ComputationRefused):
         b_egf(1, 0, 0, 100000)
+
+
+@pytest.mark.parametrize(
+    "spec, admitted",
+    [
+        (TRIPARTITE, 76),
+        (BIPARTITE, 367),
+        (HSpec(Graph(3, [(0, 1), (1, 2)]), (1, 0, 1)), 25),
+        (HSpec(Graph(3, [(0, 1), (1, 2)]), (1, 0, 0)), 48),
+    ],
+    ids=["tripartite", "bipartite", "path-clique-leaves", "path-one-clique-leaf"],
+)
+def test_egf_admission_boundaries(spec, admitted, monkeypatch):
+    # every charge comes before the table it prices, so empty tables will do
+    monkeypatch.setattr(series, "_sqrt_table", lambda _, caps: [0] * prod(c + 1 for c in caps))
+    hgraph_egf(spec, (admitted,) * spec.base.n)
+    with pytest.raises(ComputationRefused, match="budget of one window"):
+        hgraph_egf(spec, (admitted + 1,) * spec.base.n)
+
+
+def test_dump_reads_each_cell_as_its_fraction():
+    # int cells are reduced by a gcd, Fraction cells (from_terms) as before
+    cells = {(0, 1): F(-3, 4), (1, 0): -2, (2, 1): 5, (3, 2): F(7, 3)}
+    for s in (TruncatedSeries.from_terms((3, 2), cells), hgraph_egf(MIXED, (6, 6))):
+        assert s.to_json_obj() == [
+            {"exp": list(e), "coeff": format_rational(v)} for e, v in s.terms()
+        ]
 
 
 @pytest.mark.parametrize(
