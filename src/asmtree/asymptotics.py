@@ -23,15 +23,16 @@ from dataclasses import dataclass, field
 
 from .errors import (ComputationRefused, InputError, LeadingCoefficientZero, Meter,
                      NoConvergentExponent)
+from .rationals import is_int
 from .recurrences import PRecurrence, _poly_blocks, extend
 
 _RESCALE_AT = 1e120
 _FLOAT_LIMIT = 2**1023  # a smaller int converts to float without overflow
 
-# Work budget of one float iteration, in steps of n_max * sum(deg_i + 1);
-# builtin c runs 10-14 million steps per second with CPython 3.11 on a
-# 2-vCPU virtual machine, so the budget is 4-5 s of work.
-ITERATION_WORK_BUDGET = 50_000_000
+# Steps in one unit of the work budget; a float iteration takes n_max *
+# sum(deg_i + 1). With CPython 3.11 on a 2-vCPU virtual machine a unit costs
+# 3.5-5 us for builtin c and about 12 us for builtin a.
+_STEPS_PER_UNIT = 50
 # Most terms one LogSequence may hold (a float in a list costs ~32 bytes).
 MAX_LOG_TERMS = 2_000_000
 
@@ -81,16 +82,15 @@ def log_sequence(rec: PRecurrence, initial, n_max: int) -> LogSequence:
     the exact integer values and refused. Zero or sign-flipping tails are
     refused: growth extraction here targets eventually-positive sequences,
     and so are warmup terms, coefficient values or float steps beyond float
-    range. An iteration of over ITERATION_WORK_BUDGET steps is refused first.
+    range. An iteration over the work budget (50 steps a unit) is refused first.
     """
     L = rec.order
-    if n_max < rec.offset + L + 2:
-        raise InputError("n_max too small to iterate")
+    if not is_int(n_max) or n_max < rec.offset + L + 2:
+        raise InputError(f"n_max must be an integer >= {rec.offset + L + 2}, got {n_max!r}")
     if n_max > MAX_LOG_TERMS:
         raise ComputationRefused(f"n_max is over the limit of {MAX_LOG_TERMS} logged terms")
     work = n_max * sum(d + 1 for d in rec.degrees())
-    Meter(ITERATION_WORK_BUDGET, f"iterating to n_max {n_max} needs about {work:.2g} steps, "
-          f"over the budget of {ITERATION_WORK_BUDGET:.2g}").charge(work)
+    Meter(f"iterating to n_max {n_max} needs", _STEPS_PER_UNIT).charge(work)
     ipolys = rec.integer_polys()
     for p, d in zip(ipolys, rec.degrees()):
         # bounds |P(x)| for 0 <= x <= n_max, every index the iteration reads

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules, and the Meter of work budgets.
+"""Exception hierarchy shared by all modules, and the Meter of the work budget.
 
 The CLI maps these onto exit codes: InputError -> 2 (bad input),
 ComputationRefused and EngineError -> 1 (computation refused / internal
@@ -22,12 +22,19 @@ class CapExceeded(ComputationRefused):
     pass
 
 
-class Meter:
-    """A work budget: charge(units) adds to `work` and raises CapExceeded
-    with the one-line `refusal` once `work` passes `limit`."""
+# The one work budget of every route, in units of work of about 1-12 us
+# (see README, Caps); read each time a Meter is built.
+WORK_BUDGET = 1_000_000
 
-    def __init__(self, limit: int, refusal: str):
-        self.work, self.limit, self.refusal = 0, limit, refusal
+
+class Meter:
+    """The work budget of one call: charge(steps) adds to `work` and raises
+    CapExceeded with the one-line `refusal` once `work` passes `limit`,
+    WORK_BUDGET units of `per_unit` steps each. `need` names the work."""
+
+    def __init__(self, need: str, per_unit: int = 1):
+        self.work, self.limit = 0, WORK_BUDGET * per_unit
+        self.refusal = f"{need} over {WORK_BUDGET:.2g} units of work, the cap"
 
     def charge(self, units: int) -> None:
         self.work += units

@@ -155,7 +155,7 @@ class Graph:
 def relabel(g: Graph, perm) -> Graph:
     """Image of g under the vertex permutation old -> perm[old]."""
     perm = list(perm)
-    if sorted(perm) != list(range(g.n)):
+    if not all(map(is_int, perm)) or sorted(perm) != list(range(g.n)):
         raise InputError("relabel needs a permutation of 0..n-1")
     adj = [0] * g.n
     for v, nb in enumerate(g.adj):

@@ -201,6 +201,8 @@ def builtin(name: str) -> PRecurrence:
 def extend(rec: PRecurrence, initial, upto: int) -> list[Fraction]:
     """Extend a sequence to index `upto` (inclusive) by solving for the
     top term; refuses to divide when the leading polynomial vanishes."""
+    if not is_int(upto) or upto < 0:
+        raise InputError(f"upto must be an integer >= 0, got {upto!r}")
     seq = [Fraction(v) for v in initial]
     L = rec.order
     if len(seq) < rec.offset + L:
@@ -376,12 +378,12 @@ def _annihilates(rows, vec) -> bool:
     return all(sum(r[j] * c for j, c in ints) == 0 for r in rows)
 
 
-# Work budget of one guess, in elimination steps: (u + 2) * u^2 for each cell
-# with u = (order + 1)(degree + 1) unknowns. With CPython 3.11 on a 2-vCPU
-# virtual machine a search runs 13-16 million steps per second, so a search
-# at the budget takes about 3-4 s; the (3, 11) search behind the tripartite
-# recurrence takes 6.4e5.
-GUESS_WORK_BUDGET = 50_000_000
+# Elimination steps in one unit of the work budget: a cell with u =
+# (order + 1)(degree + 1) unknowns takes (u + 2) * u^2. With CPython 3.11 on a
+# 2-vCPU virtual machine a search runs 13-16 million steps per second, a unit
+# 3-4 us, so a search at the budget takes about 3-4 s; the (3, 11) search
+# behind the tripartite recurrence takes 6.4e5 steps.
+_STEPS_PER_UNIT = 50
 
 
 def guess(seq, max_order: int, max_degree: int) -> PRecurrence | None:
@@ -396,14 +398,13 @@ def guess(seq, max_order: int, max_degree: int) -> PRecurrence | None:
     tried. Each cell's kernel is exact (see _kernel). Returns None when
     nothing verifies; the result is normalized (content removed, leading
     coefficient positive). Raises CapExceeded, before any elimination,
-    when the cells exceed GUESS_WORK_BUDGET: each cell charges a Meter of
-    that budget its steps.
+    when the cells exceed the work budget at 50 elimination steps a unit:
+    each cell charges its steps to one Meter.
     """
     for name, value, least in (("max_order", max_order, 1), ("max_degree", max_degree, 0)):
         if not is_int(value) or value < least:
             raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
-    meter = Meter(GUESS_WORK_BUDGET, f"the cells up to these bounds need over "
-                  f"{GUESS_WORK_BUDGET:.2g} elimination steps, the budget of one guess")
+    meter = Meter(f"guess to order {max_order}, degree {max_degree} needs", _STEPS_PER_UNIT)
     for order in range(1, max_order + 1):
         for degree in range(max_degree + 1):
             u = (order + 1) * (degree + 1)

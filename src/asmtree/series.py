@@ -31,9 +31,9 @@ m <= f of R only (_sqrt_table), which fills the table with -T: -T[f] is
 the tree count at f, and hgraph_egf stores it as it is. Cells that a
 permutation of interchangeable template vertices maps onto earlier cells
 are copied, not computed: whole rows, and the start of each computed row
-when the row axis (the last coordinate) has twins. One Meter of
-EGF_WORK_BUDGET steps is charged the estimated cost of the window and of
-each face before its work; a symmetric window takes a fraction of it.
+when the row axis (the last coordinate) has twins. One Meter of the work
+budget (25 steps a unit) is charged the estimated cost of the window and
+of each face before its work; a symmetric window takes a fraction of it.
 """
 
 from __future__ import annotations
@@ -169,20 +169,20 @@ class TruncatedSeries:
         return obj
 
 
-# Work budget of one EGF window and its faces, in the steps of _window_meter
-# on one Meter; with CPython 3.11 on a 2-vCPU virtual machine a window runs
-# 10-21 million steps per second, so an admitted window takes at most about
+# Steps of _window_meter in one unit of the work budget. With CPython 3.11 on
+# a 2-vCPU virtual machine a window runs 10-21 million steps per second, a
+# unit 1.2-2.5 us, so an admitted window and its faces take at most about
 # 2.5 s. The tripartite window at caps 66 (acceptance criterion 7) is
 # estimated at 1.4e7; _sqrt_table copies the mirror cells of a symmetric
 # window, so it takes a fifth or less of the time its estimate allows. A
 # read of a cell is priced at 20 steps (1-2 us), but `asmtree series` reads
 # and prints a cell in about 5 us, so the command takes longer than its
 # window: 4-6 s, 347 MB and 61 MB of stdout at tripartite caps 76.
-EGF_WORK_BUDGET = 25_000_000
+_STEPS_PER_UNIT = 25
 
 
 def _window_meter(caps, meter=None):
-    """Charge `meter` (by default a new Meter of EGF_WORK_BUDGET that refuses
+    """Charge `meter` (by default a new Meter of the work budget that refuses
     the window `caps`) the estimated steps of the cells of the window `caps`,
     and return it with the function that charges it those of its radicand
     terms. The cell coefficients have at most about top*log2(top) bits
@@ -195,8 +195,7 @@ def _window_meter(caps, meter=None):
     top = sum(caps)
     words = top * top.bit_length() // 64
     cells = prod(c + 1 for c in caps)
-    meter = meter or Meter(EGF_WORK_BUDGET, f"EGF window {tuple(caps)} needs over "
-                           f"{EGF_WORK_BUDGET:.2g} steps, the budget of one window")
+    meter = meter or Meter(f"EGF window {tuple(caps)} needs", _STEPS_PER_UNIT)
     meter.charge(cells * (20 + words * words // 128))
     return meter, lambda terms: meter.charge(cells * (terms * (8 + words) // 8))
 
@@ -423,9 +422,9 @@ def hgraph_egf(spec: HSpec, caps) -> TruncatedSeries:
     Elsewhere R carries the part A_U of each block U of its pairs, read from
     the cells using every variable of U on the face of the window zeroing
     every cap off U. Each face is filled once, after the faces inside it,
-    from the parts of the pairs inside it, and the window last. One Meter of
-    EGF_WORK_BUDGET is charged the window's cells, pair listing and terms,
-    then each face as a window (_window_meter), raising CapExceeded.
+    from the parts of the pairs inside it, and the window last. The work
+    budget, at 25 steps a unit, is charged the window's cells, pair listing
+    and terms, then each face as a window (_window_meter), raising CapExceeded.
     """
     if not spec.base.is_connected():
         raise DisconnectedGraph("hgraph_egf needs a connected template graph")

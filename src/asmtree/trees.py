@@ -32,9 +32,9 @@ image, maps each state to a state with the same count, so the splits of
 one state per orbit are enough. The enumerators run the same walk on
 explicit trees. The gluing route stays independent of anchored splits: it
 joins the trees of the two sides of the last edge of each spanning tree,
-memoised on subtrees. One work budget bounds all three: each call charges
-a Meter of TREE_WORK_BUDGET units as it goes, which raises CapExceeded at
-the charge that passes it.
+memoised on subtrees. The work budget of every route, errors.WORK_BUDGET
+units of one step each here, bounds all three: each call charges a Meter as
+it goes, which raises CapExceeded at the charge that passes it.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from __future__ import annotations
 from itertools import accumulate, chain, combinations
 from math import comb, factorial, prod
 
+from . import errors
 from .errors import CapExceeded, ComputationRefused, DisconnectedGraph, InputError, Meter
 from .graphs import Graph, _component, _components, _neighbours, relabel
 from .rationals import is_int
@@ -52,9 +53,8 @@ from .symmetry import fill_orbit, layout_automorphisms
 # examined in the search for generators (more on many vertices, as are
 # their tables and applications, see symmetry), one tree or forest
 # enumerated, one edge subset or a quarter of a gluing join, metered as it
-# goes. CPython 3.11 on a 2-vCPU machine runs 0.3-1 million units per
-# second, so refusals take about 1-3 s.
-TREE_WORK_BUDGET = 1_000_000
+# goes, at one step per unit. CPython 3.11 on a 2-vCPU machine runs
+# 0.3-1 million units per second (1-3.5 us each), so refusals take 1-3 s.
 
 
 def _check_countable(g: Graph, what: str) -> None:
@@ -62,10 +62,6 @@ def _check_countable(g: Graph, what: str) -> None:
         raise ComputationRefused(f"{what}: empty graph has no assembly trees")
     if not g.is_connected():
         raise DisconnectedGraph(f"{what}: graph is not connected")
-
-
-def _meter(need: str) -> Meter:
-    return Meter(TREE_WORK_BUDGET, f"{need} over {TREE_WORK_BUDGET:.2g} units of work, the cap")
 
 
 class AssemblyTree:
@@ -83,7 +79,7 @@ class AssemblyTree:
                 union |= c.label
             if len(children) < 2 or union != label:
                 raise InputError("internal label must be the union of two or more child labels")
-        elif label.bit_count() != 1:
+        elif not is_int(label) or label <= 0 or label & label - 1:
             raise InputError("leaves must be single vertices")
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "children", children)
@@ -94,6 +90,8 @@ class AssemblyTree:
 
     @staticmethod
     def leaf(v: int) -> "AssemblyTree":
+        if not is_int(v) or v < 0:
+            raise InputError(f"a leaf needs a vertex >= 0, got {v!r}")
         return AssemblyTree(1 << v)
 
     @property
@@ -282,7 +280,7 @@ def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
     _check_countable(g, what)
     adj, blocks = _twin_layout(g)
     classes = g.n - sum(k - 1 for _, k in blocks)
-    meter = _meter(f"{what}: {g.n} vertices in {classes} twin classes need")
+    meter = Meter(f"{what}: {g.n} vertices in {classes} twin classes need")
     gens = layout_automorphisms(adj, blocks, meter)
     a: dict[int, int] = {}
     for u, splits in _walk(adj, blocks, not connected_rule, a):
@@ -327,7 +325,7 @@ def _trees_by_subset(g: Graph, connected_rule: bool) -> dict[int, list[AssemblyT
     Each tree and forest charges the meter a unit before it is built.
     """
     rule = "connected" if connected_rule else "edge"
-    meter = _meter(f"enumerate_{rule}_rule: {g.n} vertices need")
+    meter = Meter(f"enumerate_{rule}_rule: {g.n} vertices need")
     trees: dict[int, list[AssemblyTree]] = {}
     forests: dict[int, list[tuple[AssemblyTree, ...]]] = {}
     for u, splits in _walk(g.adj, (), not connected_rule):
@@ -375,9 +373,9 @@ def spanning_trees(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     edges = g.edges()
     if g.n == 1:
         return [()]
-    if comb(len(edges), g.n - 1) > TREE_WORK_BUDGET:
+    if comb(len(edges), g.n - 1) > errors.WORK_BUDGET:
         raise CapExceeded(f"spanning_trees: {g.n} vertices need C({len(edges)}, {g.n - 1}) "
-                          f"edge subsets, over the cap {TREE_WORK_BUDGET:.2g}")
+                          f"edge subsets, over the cap {errors.WORK_BUDGET:.2g}")
     out = []
     for subset in combinations(edges, g.n - 1):
         parent = list(range(g.n))
@@ -400,6 +398,8 @@ def gluing_sequence_tree(g: Graph, sequence) -> AssemblyTree:
     parent = list(range(g.n))
     node: list[AssemblyTree] = [AssemblyTree.leaf(v) for v in range(g.n)]
     for u, v in sequence:
+        if not (is_int(u) and is_int(v) and 0 <= u < g.n and 0 <= v < g.n):
+            raise InputError(f"gluing sequence edge ({u!r}, {v!r}) has no such vertex")
         ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             raise InputError("gluing sequence edge joins an already-joined component")
@@ -428,9 +428,9 @@ def trees_from_gluing_sequences(g: Graph) -> set[CanonicalCode]:
     what = "trees_from_gluing_sequences"
     _check_countable(g, what)
     need = f"{what}: {g.n} vertices need"
-    if g.n > 1 and 4 << g.n - 2 > TREE_WORK_BUDGET:
+    if g.n > 1 and 4 << g.n - 2 > errors.WORK_BUDGET:
         raise CapExceeded(
-            f"{need} 4·2^{g.n - 2} units of work, over the cap {TREE_WORK_BUDGET:.2g}")
+            f"{need} 4·2^{g.n - 2} units of work, over the cap {errors.WORK_BUDGET:.2g}")
     bit = {e: 1 << i for i, e in enumerate(g.edges())}
     incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for (u, v), b in bit.items():
@@ -438,7 +438,7 @@ def trees_from_gluing_sequences(g: Graph) -> set[CanonicalCode]:
         incident[v].append((b, u))
     leaves = [AssemblyTree.leaf(v) for v in range(g.n)]
     memo: dict[int, list[AssemblyTree]] = {}
-    meter = _meter(need)
+    meter = Meter(need)
 
     def joined(mask: int, root: int):
         """Yield the trees of the tree with edge set `mask` that holds `root`."""

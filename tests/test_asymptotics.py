@@ -124,7 +124,7 @@ def test_estimate_lambda_input_validation():
 
 
 def test_iteration_budget_refuses_before_the_warmup(monkeypatch):
-    from asmtree import asymptotics
+    from asmtree import asymptotics, errors
 
     def unreachable(*_):
         raise AssertionError("iteration started")
@@ -141,7 +141,7 @@ def test_iteration_budget_refuses_before_the_warmup(monkeypatch):
         with pytest.raises(ComputationRefused):
             estimate_lambda(rec, init, n_max)
     # n_max 10^5 (acceptance criterion 8) stays admitted for every builtin
-    assert 10**5 * sum(d + 1 for d in c.degrees()) <= asymptotics.ITERATION_WORK_BUDGET
+    assert 10**5 * sum(d + 1 for d in c.degrees()) <= errors.WORK_BUDGET * asymptotics._STEPS_PER_UNIT
 
 
 @pytest.mark.parametrize(

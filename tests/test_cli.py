@@ -76,9 +76,9 @@ def test_count_requires_one_input_source(capsys):
 
 
 def test_cap_override_via_module_constant(capsys, monkeypatch):
-    from asmtree import trees
+    from asmtree import errors
 
-    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 40)  # P_6 costs 172 units
+    monkeypatch.setattr(errors, "WORK_BUDGET", 40)  # P_6 costs 172 units
     code, out, err = run_cli(capsys, "count", "--family", "path", "--n", "6")
     assert code == 1 and "cap" in err
 

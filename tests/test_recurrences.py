@@ -24,7 +24,7 @@ from asmtree import (
     same_extension,
     verify,
 )
-from asmtree import recurrences
+from asmtree import errors, recurrences
 
 MIXED = HSpec(family("complete", [2]), (1, 0))
 BIPARTITE = HSpec(family("complete", [2]), (0, 0))
@@ -368,4 +368,4 @@ def test_guess_refuses_over_budget_before_any_elimination(monkeypatch):
         guess([F(1)] * 10, 10**9, 10**9)  # before the term count
     monkeypatch.undo()
     # the tripartite search (3, 11) is well inside the budget
-    assert recurrences.GUESS_WORK_BUDGET > 10 * 640016
+    assert errors.WORK_BUDGET * recurrences._STEPS_PER_UNIT > 10 * 640016

@@ -9,6 +9,7 @@ import pytest
 from conftest import series_add, series_mul, series_sub, sqrt1
 
 from asmtree import (
+    AssemblyTree,
     ComputationRefused,
     DisconnectedGraph,
     EngineError,
@@ -18,14 +19,21 @@ from asmtree import (
     TruncatedSeries,
     b_egf,
     build_h_graph,
+    builtin,
     closed_form,
     count_edge_rule,
     count_from_egf,
     diag_formula_easyex,
     diagonal,
+    estimate_lambda,
+    extend,
     family,
+    gluing_sequence_tree,
     hgraph_egf,
     is_connected_subset,
+    log_sequence,
+    relabel,
+    same_extension,
 )
 from asmtree import series
 from asmtree.rationals import format_rational
@@ -649,7 +657,8 @@ def test_egf_admission_boundaries(spec, admitted, monkeypatch):
     # every charge comes before the table it prices, so empty tables will do
     monkeypatch.setattr(series, "_sqrt_table", lambda _, caps: [0] * prod(c + 1 for c in caps))
     hgraph_egf(spec, (admitted,) * spec.base.n)
-    with pytest.raises(ComputationRefused, match="budget of one window"):
+    refusal = r"^EGF window \(.*\) needs over 1e\+06 units of work, the cap$"
+    with pytest.raises(ComputationRefused, match=refusal):
         hgraph_egf(spec, (admitted + 1,) * spec.base.n)
 
 
@@ -675,11 +684,25 @@ def test_dump_reads_each_cell_as_its_fraction():
         lambda: b_egf(2, 0, 0, True),
         lambda: diag_formula_easyex(True),
         lambda: is_connected_subset(family("path", [2]), True),
+        lambda: log_sequence(builtin("c"), [0, 3, 84, 4935], 100.5),
+        lambda: estimate_lambda(builtin("c"), [0, 3, 84, 4935], "100"),
+        lambda: extend(builtin("a"), [0, 1], 10.5),
+        lambda: extend(builtin("a"), [0, 1], -5),
+        lambda: extend(builtin("a"), [0, 1], True),
+        lambda: same_extension(builtin("a"), builtin("a"), [0, 1], 10.5),
+        lambda: relabel(family("path", [3]), [1.0, 0, 2]),
+        lambda: gluing_sequence_tree(family("path", [2]), [(0, 5)]),
+        lambda: AssemblyTree(1.5),
+        lambda: AssemblyTree.leaf(-1),
     ],
     ids=["closed_form", "series_caps", "egf_caps", "coeff", "b_egf_N", "b_egf_M",
-         "b_egf_J", "b_egf_cap", "diag_formula", "subset"],
+         "b_egf_J", "b_egf_cap", "diag_formula", "subset", "log_sequence_n_max",
+         "estimate_lambda_n_max", "extend_upto", "extend_negative_upto", "extend_bool_upto",
+         "same_extension_upto", "relabel", "gluing_vertex", "tree_label", "leaf"],
 )
 def test_bools_are_not_integer_parameters(call):
-    # JSON true/false parse as bools, and bool is a subclass of int
+    # JSON true/false parse as bools, and bool is a subclass of int; floats,
+    # strings, negative or out-of-range integers are refused the same way,
+    # as InputError, before any work
     with pytest.raises(InputError):
         call()

@@ -1,7 +1,9 @@
 import itertools
 import random
+import re
 import time
 import tracemalloc
+from math import comb
 
 import pytest
 from conftest import (
@@ -21,6 +23,7 @@ from asmtree import (
     HSpec,
     InputError,
     build_h_graph,
+    builtin,
     closed_form,
     count_connected_rule,
     count_edge_rule,
@@ -31,13 +34,15 @@ from asmtree import (
     enumerate_edge_rule_trees,
     family,
     gluing_sequence_tree,
+    guess,
     hgraph_egf,
     is_connected_subset,
+    log_sequence,
     relabel,
     spanning_trees,
     trees_from_gluing_sequences,
 )
-from asmtree import trees
+from asmtree import errors, trees
 from asmtree.errors import Meter
 from asmtree.graphs import _connected_mask, _mapped
 from asmtree.symmetry import automorphisms, layout_automorphisms
@@ -75,26 +80,62 @@ def test_work_budget_override(monkeypatch):
     # the budget is read at each call, so a patched constant takes effect:
     # P_4 costs 60 units of work and P_5 costs 102, with the search for the
     # mirror symmetry of each and its table of 2^n entries
-    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 80)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 80)
     with pytest.raises(CapExceeded, match="units of work"):
         count_edge_rule(family("path", [5]))
     assert count_edge_rule(family("path", [4])) == 5
     # the search for that symmetry costs 20 units, so at 19 it is stopped
     # by the meter as it refines, before any state is walked
-    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 19)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 19)
     monkeypatch.setattr(trees, "_walk", None)
     with pytest.raises(CapExceeded, match="units of work"):
         count_edge_rule(family("path", [5]))
 
 
-def test_meter_admits_its_limit_and_refuses_one_unit_more():
-    meter = Meter(10, "over ten units")
+def test_meter_admits_its_limit_and_refuses_one_unit_more(monkeypatch):
+    monkeypatch.setattr(errors, "WORK_BUDGET", 10)
+    meter = Meter("ten units")
     meter.charge(4)
     meter.charge(6)  # exactly at the limit
     assert meter.work == 10
-    with pytest.raises(CapExceeded, match="^over ten units$"):
+    with pytest.raises(CapExceeded, match="^ten units over 10 units of work, the cap$"):
         meter.charge(1)
     assert meter.work == 11
+
+
+def test_one_work_budget_bounds_every_route(monkeypatch):
+    # one patched budget limits each route to its units times the route's
+    # step price; a meter built `start` steps short of that limit admits the
+    # route's exact charge and refuses it one step over, in one line
+    from asmtree import asymptotics, recurrences, series
+
+    monkeypatch.setattr(errors, "WORK_BUDGET", 5000)
+    catalan = [comb(2 * n, n) // (n + 1) for n in range(11)]
+    path = HSpec(Graph(3, [(0, 1), (1, 2)]), (1, 0, 1))
+    routes = [  # module, steps per unit, charge in steps, the route
+        (trees, 1, 102, lambda: count_edge_rule(family("path", [5]))),
+        (series, 25, 2628, lambda: hgraph_egf(path, (3, 3, 3))),
+        (recurrences, 50, 112, lambda: guess(catalan, 1, 1)),
+        (asymptotics, 50, 48000, lambda: log_sequence(builtin("c"), [0, 3, 84, 4935], 1000)),
+    ]
+    for module, per_unit, charge, route in routes:
+        for over in (0, 1):
+            meters = []
+
+            def started(need, steps=1, start=charge - over):
+                meters.append(Meter(need, steps))
+                meters[-1].work = meters[-1].limit - start
+                return meters[-1]
+
+            monkeypatch.setattr(module, "Meter", started)
+            if over:
+                with pytest.raises(CapExceeded) as info:
+                    route()
+                assert re.fullmatch(r"[^\n]* over 5e\+03 units of work, the cap", str(info.value))
+            else:
+                assert route() is not None
+            assert len(meters) == 1
+            assert meters[0].limit == 5000 * per_unit and meters[0].work == meters[0].limit + over
 
 
 @pytest.mark.parametrize("g,charge,count", [
@@ -103,9 +144,9 @@ def test_meter_admits_its_limit_and_refuses_one_unit_more():
 ], ids=["P5", "K33"])
 def test_edge_rule_charges_are_pinned(g, charge, count, monkeypatch):
     # a budget equal to the charge admits the graph, one unit less refuses it
-    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", charge)
+    monkeypatch.setattr(errors, "WORK_BUDGET", charge)
     assert count_edge_rule(g) == count
-    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", charge - 1)
+    monkeypatch.setattr(errors, "WORK_BUDGET", charge - 1)
     with pytest.raises(CapExceeded, match="units of work, the cap"):
         count_edge_rule(g)
 
@@ -135,9 +176,9 @@ def test_enumeration_is_metered(enumerate_rule):
 def test_enumeration_charges_each_tree_and_forest(monkeypatch):
     # the edge rule on K_6 builds one tree and one forest for each of the
     # sum over k of C(6, k)(2k - 3)!! trees of its vertex sets: 2 * 1881
-    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 3762)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 3762)
     assert len(enumerate_edge_rule(family("complete", [6]))) == closed_form("complete", 6)
-    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 3761)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 3761)
     with pytest.raises(CapExceeded, match="units of work"):
         enumerate_edge_rule(family("complete", [6]))
 
@@ -171,9 +212,9 @@ def test_gluing_is_metered(monkeypatch):
 def test_gluing_charges_each_join(monkeypatch):
     # C_4 joins the trees of its four spanning paths (5 each), of their four
     # 2-edge subpaths (2 each) and of its four edges: 32 joins of 4 units
-    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 128)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 128)
     assert len(trees_from_gluing_sequences(family("cycle", [4]))) == 10
-    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 127)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 127)
     with pytest.raises(CapExceeded, match="units of work"):
         trees_from_gluing_sequences(family("cycle", [4]))
 
@@ -547,13 +588,13 @@ def test_work_guard_is_keyed_to_the_twin_quotient(monkeypatch):
     assert count_connected_rule(family("cycle", [25])) == _connected_rule_cycle(25)
     # a class of k twins has k states: K_5 costs 25 units and K_{3,3} 134,
     # whose two classes are swapped by a symmetry with a 64-entry table
-    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 40)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 40)
     assert count_edge_rule(family("complete", [5])) == closed_form("complete", 5)
     assert count_connected_rule(family("complete", [5])) == 236
     with pytest.raises(CapExceeded, match="units of work"):
         count_edge_rule(family("complete_multipartite", [3, 3]))
     # a huge budget admits everything
-    monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 10**12)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 10**12)
     assert count_edge_rule(family("path", [6])) == 42
 
 
@@ -668,7 +709,7 @@ def test_walk_yields_each_connected_state_after_its_sub_states(g, monkeypatch):
 
 
 # counts of the core at commit e7d15d4, before orbits, which enumerated the
-# splits of every state, run once with TREE_WORK_BUDGET raised to 10^12:
+# splits of every state, run once with the work budget raised to 10^12:
 # the dodecahedron took 24 s under the edge rule and 181 s under the
 # connected rule
 POLYHEDRA_COUNTS = {
@@ -696,7 +737,7 @@ def test_symmetric_graphs_match_the_core_without_orbits(name, monkeypatch):
         with pytest.raises(CapExceeded, match="units of work, the cap"):
             count_connected_rule(g)
         assert time.perf_counter() - t0 < 5.0
-        monkeypatch.setattr(trees, "TREE_WORK_BUDGET", 3 * 10**6)
+        monkeypatch.setattr(errors, "WORK_BUDGET", 3 * 10**6)
     assert count_connected_rule(g) == connected
 
 
@@ -708,13 +749,14 @@ def test_cycle_of_182_classes_is_counted_on_its_orbits():
     assert count_connected_rule(g) == _connected_rule_cycle(182)
 
 
-def test_symmetry_search_stops_within_one_splitter_past_its_limit():
+def test_symmetry_search_stops_within_one_splitter_past_its_limit(monkeypatch):
     # the path refines by distance from its ends, one splitter at a time;
     # a splitter examines at most 2000 cells of 2 units each (one unit, and
     # one more per 1,024 bits of a mask)
-    meter = Meter(1000, "over the limit")
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1000)
+    meter = Meter("the search needs")
     t0 = time.perf_counter()
-    with pytest.raises(CapExceeded, match="^over the limit$"):
+    with pytest.raises(CapExceeded, match=r"^the search needs over 1e\+03 units of work, the cap$"):
         automorphisms(family("path", [2000]).adj, [(1 << 2000) - 1], meter)
     assert time.perf_counter() - t0 < 0.5
     assert 1000 < meter.work <= 1000 + 2 * 2000
@@ -766,7 +808,7 @@ def _group_order(perms: list[list[int]], n: int) -> int:
 ], ids=["cube", "petersen", "icosahedron", "dodecahedron", "grid4x4", "star2_7", "K444", "R15"])
 def test_symmetries_generate_the_automorphism_group(g, order):
     adj, blocks = trees._twin_layout(g)
-    tables = layout_automorphisms(adj, blocks, Meter(trees.TREE_WORK_BUDGET, ""))
+    tables = layout_automorphisms(adj, blocks, Meter("the search needs"))
     # generator i maps vertex v to the one bit of tables[i][v // 8][1 << v % 8]
     perms = [[ts[v >> 3][1 << (v & 7)].bit_length() - 1 for v in range(g.n)] for ts in tables]
     for p in perms:
