@@ -197,13 +197,13 @@ def layout_automorphisms(adj, blocks, meter: Meter) -> list[list[list[int]]]:
     return tables
 
 
-def fill_orbit(gens: list[list[list[int]]], u: int, counts: dict[int, int], meter: Meter) -> None:
+def fill_orbit(gens: list[list[list[int]]], u: int, counts: dict, meter: Meter) -> list[int]:
     """Give every state of u's orbit under the generators `gens`, byte
     tables as layout_automorphisms returns them, the count of u, and charge
     the meter: a generator applied to a state of the orbit looks up each of
     its n/8 bytes and ORs images of n/64 words, a unit per 4 lookups or per
     64 words ORed, at least one. An orbit is closed, so no state of it is
-    in `counts` before u."""
+    in `counts` before u. Returns the orbit."""
     # a table per byte of a state; the last has 2^r entries for its r vertices
     lookups = len(gens[0])
     n = 8 * (lookups - 1) + len(gens[0][-1]).bit_length() - 1
@@ -220,3 +220,4 @@ def fill_orbit(gens: list[list[list[int]]], u: int, counts: dict[int, int], mete
                 counts[x] = total
                 orbit.append(x)
     meter.charge(len(orbit) * step)
+    return orbit

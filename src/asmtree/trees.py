@@ -17,30 +17,32 @@ Trees compare equal exactly when there is a label-preserving isomorphism;
 canonical codes realize that equality as byte strings.
 
 Both rules share one recurrence: a tree of a connected set u joins a tree
-of a connected part s of u with a tree of u - s (edge rule) or with a
-forest of u - s into connected parts (connected rule). Every split is
-anchored at the lowest vertex of the set it splits, so each unordered split
-is visited once. Only connected sets have trees, so the recurrence walks
-connected sets only, and grows the parts of each by MinCut branching, which
-visits only the splits the rule can use. The counters run it on the twin
-layout: twins (vertices with equal open or equal closed neighbourhoods)
-are interchangeable, so each class is a block of consecutive vertices, and
-a state holds the lowest vertices of each block. They also count on
-orbits: an automorphism of the twin quotient that keeps each class's size
-and twin type, lifted so that twin j of a block goes to twin j of its
-image, maps each state to a state with the same count, so the splits of
-one state per orbit are enough. The enumerators run the same walk on
-explicit trees. The gluing route stays independent of anchored splits: it
-joins the trees of the two sides of the last edge of each spanning tree,
-memoised on subtrees. The work budget of every route, errors.WORK_BUDGET
-units of one step each here, bounds all three: each call charges a Meter as
-it goes, which raises CapExceeded at the charge that passes it.
+of a connected part s of u with a forest of u - s: one tree (edge rule), or
+a tree of each part of a partition into connected parts (connected rule).
+Every split is anchored at the lowest vertex of the set it splits, so each
+unordered split is visited once. Only connected sets have trees, so the
+walk grows connected sets only, and their parts by MinCut branching, which
+visits only the splits the rule can use. One loop runs it on counts and on
+lists of explicit forests. The counts run on the twin layout: twins
+(vertices with equal open or equal closed neighbourhoods) are
+interchangeable, so each class is a block of consecutive vertices, and a
+state holds the lowest vertices of each block. They also run on orbits: an
+automorphism of the twin quotient that keeps each class's size and twin
+type, lifted so that twin j of a block goes to twin j of its image, maps
+each state to a state with the same count. The gluing route stays
+independent of anchored splits: it joins the trees of the two sides of the
+last edge of each spanning tree, memoised on subtrees. The work budget of
+every route, errors.WORK_BUDGET units of one step each here, bounds all
+three: each call charges a Meter as it goes, which raises CapExceeded at
+the charge that passes it.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate, chain, combinations
-from math import comb, factorial, prod
+from math import comb, factorial
+from operator import mul
 
 from . import errors
 from .errors import CapExceeded, ComputationRefused, DisconnectedGraph, InputError, Meter
@@ -74,11 +76,11 @@ class AssemblyTree:
         if children:
             union = 0
             for c in children:
-                if union & c.label:
-                    raise InputError("children must be pairwise disjoint")
+                if not isinstance(c, AssemblyTree) or union & c.label:
+                    raise InputError("children must be pairwise disjoint assembly trees")
                 union |= c.label
-            if len(children) < 2 or union != label:
-                raise InputError("internal label must be the union of two or more child labels")
+            if len(children) < 2 or union != label or not is_int(label):
+                raise InputError("internal label must be the integer union of 2+ child labels")
         elif not is_int(label) or label <= 0 or label & label - 1:
             raise InputError("leaves must be single vertices")
         object.__setattr__(self, "label", label)
@@ -256,57 +258,64 @@ def _walk(adj, blocks, cut: bool, done=()):
                 yield u, _splits(adj, u, blocks, later, cut, cache)
 
 
-def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
-    """Assembly trees of g under either rule, by one convolution over the
-    connected states of the twin layout (vertex sets that hold the lowest
-    m_i vertices of each twin block i): a(u) = sum w·a(s)·X(u - s) over the
-    splits of _splits, where an absent, disconnected state reads as 0. The
-    edge rule takes X = a. The connected rule takes X = P, the weighted
-    partitions into connected parts: the product of P over the components
-    of u - s, with P(c) = a(c) + conv(c, P) = 2·a(c), or 1 on one vertex.
-    Returns a, keyed by the states of the twin layout, which keeps the
-    labels of g when its twin classes are contiguous blocks.
+def _assemble(adj, blocks, cut: bool, one, join, tree, gens=(), meter=None) -> dict:
+    """The recurrence on values closed under `+`, with the empty product `one`
+    and the product `join`. T(u) = tree(u, joins, count), a hook that charges
+    the meter; joins sums w·join(T(s), F(r)) over the splits of _walk, and
+    count is the values they multiplied. F is T under the edge rule (`cut`).
+    Under the connected rule F(u) = T(u) + joins, and F of a disconnected
+    rest, the join of F over its components, is stored when first needed. A
+    part or rest missing from T or F has none. The states of u's orbit under
+    `gens` take its values (symmetry.fill_orbit); the walk skips them."""
+    T: dict = {}
+    F = T if cut else {}
+    zero = 0 * one  # no value: 0, or no forests
+    for u, splits in _walk(adj, blocks, cut, T):
+        joins, count = 0 * one, 0  # a fresh zero, as += extends a list in place
+        for w, s, r in splits:
+            if not cut and r not in F:  # a disconnected rest
+                cs = [F.get(c, one) for c in _components(adj, r)]  # a lone twin: one forest
+                F[r] = reduce(join, cs)
+                count += len(cs)
+            joins += w * join(T.get(s, zero), F.get(r, zero))
+            count += 2
+        T[u] = t = tree(u, joins, count)
+        if not cut:
+            F[u] = t + joins
+        if gens:
+            for v in fill_orbit(gens, u, T, meter):
+                F[v] = F[u]
+    return T
 
-    Orbits: generators of the automorphisms of the twin quotient, lifted to
-    the layout, are found first (symmetry.layout_automorphisms). A state
-    not yet in a is counted from its splits, and its count goes to every
-    state of its orbit, the closure of {u} under the generators
-    (symmetry.fill_orbit); the walk then skips those states without
-    building their splits, so a holds every connected state. An asymmetric
-    twin quotient, separated by refinement alone, has no generators. The
-    meter is the only guard: symmetry charges the search, the tables and
-    each orbit as it goes, and each state here is charged by its counts.
-    """
+
+def _count_trees(g: Graph, connected_rule: bool, what: str) -> dict[int, int]:
+    """Assembly trees a of g under either rule, by _assemble on the connected
+    states of the twin layout (the connected sets that hold the lowest m_i
+    vertices of each twin block i); an absent, disconnected state reads as
+    0, and under the connected rule F(c) = a(c) + conv(c, F) = 2·a(c), or 1
+    on one vertex. Generators of the automorphisms of the twin quotient,
+    lifted to the layout (symmetry.layout_automorphisms), give each count
+    to its orbit. The meter is the only guard: symmetry charges the search,
+    the tables and each orbit as it goes, and each state here its counts.
+    Returns a, keyed by the states of the twin layout, which keeps the
+    labels of g when its twin classes are contiguous blocks."""
     _check_countable(g, what)
     adj, blocks = _twin_layout(g)
     classes = g.n - sum(k - 1 for _, k in blocks)
     meter = Meter(f"{what}: {g.n} vertices in {classes} twin classes need")
-    gens = layout_automorphisms(adj, blocks, meter)
-    a: dict[int, int] = {}
-    for u, splits in _walk(adj, blocks, not connected_rule, a):
-        total = count = 0  # count: the counts that the splits multiply
-        for w, s, r in splits:
-            x = a.get(r, 0)
-            if connected_rule and r & r - 1:
-                if x:
-                    x *= 2
-                else:  # a disconnected rest
-                    x = 1
-                    for c in _components(adj, r):
-                        x *= 2 * a[c] if c & c - 1 else 1
-                        count += 1
-            total += w * a.get(s, 0) * x
-            count += 2
-        a[u] = total = total if u & u - 1 else 1
+
+    def tree(u: int, total: int, count: int) -> int:
+        total = total if u & u - 1 else 1
         # a unit is one count multiplied, or one word of a stored state; a
         # count of w words costs w^2/1024 more (the total bounds w), as
         # big-integer products dominate there, and one more per 256 twin
         # classes, as the splits of a wide quotient handle wide masks
         meter.charge((count + 1) * (1 + (classes >> 8) + (total.bit_length() >> 6) ** 2 // 1024)
                      + (u.bit_length() >> 6))
-        if gens:
-            fill_orbit(gens, u, a, meter)
-    return a
+        return total
+
+    gens = layout_automorphisms(adj, blocks, meter)
+    return _assemble(adj, blocks, not connected_rule, 1, mul, tree, gens, meter)
 
 
 def count_edge_rule(g: Graph) -> int:
@@ -316,40 +325,29 @@ def count_edge_rule(g: Graph) -> int:
     return _count_trees(g, False, "count_edge_rule")[g.full_mask]
 
 
-def _trees_by_subset(g: Graph, connected_rule: bool) -> dict[int, list[AssemblyTree]]:
-    """Explicit trees of every connected vertex set under either rule, by
-    the counting core's walk on the plain graph (every class one vertex,
-    every weight 1): a tree of u joins a tree of a part s with a forest of
-    u - s, one from each of its components c. The forests of c are its
-    trees as one-part forests, plus, under the connected rule, its joins.
-    Each tree and forest charges the meter a unit before it is built.
-    """
-    rule = "connected" if connected_rule else "edge"
-    meter = Meter(f"enumerate_{rule}_rule: {g.n} vertices need")
-    trees: dict[int, list[AssemblyTree]] = {}
-    forests: dict[int, list[tuple[AssemblyTree, ...]]] = {}
-    for u, splits in _walk(g.adj, (), not connected_rule):
-        joins = []
-        for _, s, r in splits:
-            cs = list(_components(g.adj, r))
-            # a join is a tree and a one-part forest, and a forest itself
-            # under the connected rule
-            meter.charge((2 + connected_rule) * len(trees[s]) * prod(len(forests[c]) for c in cs))
-            fs = [()]
-            for c in cs:
-                fs = [f + h for f in fs for h in forests[c]]
-            joins += [(t,) + f for t in trees[s] for f in fs]
-        if not u & u - 1:
-            meter.charge(2)  # a leaf and its one-part forest
-        trees[u] = [AssemblyTree(u, j) for j in joins] if u & u - 1 else [AssemblyTree(u)]
-        forests[u] = [(t,) for t in trees[u]] + (joins if connected_rule else [])
-    return trees
+def _trees_by_subset(g: Graph, connected_rule: bool) -> dict[int, list[tuple[AssemblyTree]]]:
+    """Explicit trees of every connected vertex set under either rule, each
+    as its one-part forest, by _assemble on the plain graph and on lists of
+    forests, where a join concatenates a forest of each side. Each forest
+    charges the meter a unit before it is built, and each tree with its
+    one-part forest one more; a leaf, built from no join, costs two."""
+    meter = Meter(f"enumerate_{('edge', 'connected')[connected_rule]}_rule: {g.n} vertices need")
+
+    def join(fs: list, hs: list) -> list:
+        meter.charge(len(fs) * len(hs))
+        return [f + h for f in fs for h in hs]
+
+    def tree(u: int, joins: list, _) -> list:
+        meter.charge(len(joins) or 2)  # a leaf is built from no join: the empty forest
+        return [(AssemblyTree(u, j),) for j in joins or [()]]
+
+    return _assemble(g.adj, (), not connected_rule, [()], join, tree)
 
 
 def enumerate_edge_rule_trees(g: Graph) -> tuple[AssemblyTree, ...]:
     """All distinct edge-rule assembly trees as explicit objects."""
     _check_countable(g, "enumerate_edge_rule")
-    return tuple(_trees_by_subset(g, False)[g.full_mask])
+    return tuple(t for t, in _trees_by_subset(g, False)[g.full_mask])
 
 
 def enumerate_edge_rule(g: Graph) -> set[CanonicalCode]:
@@ -397,9 +395,10 @@ def gluing_sequence_tree(g: Graph, sequence) -> AssemblyTree:
     """
     parent = list(range(g.n))
     node: list[AssemblyTree] = [AssemblyTree.leaf(v) for v in range(g.n)]
-    for u, v in sequence:
-        if not (is_int(u) and is_int(v) and 0 <= u < g.n and 0 <= v < g.n):
-            raise InputError(f"gluing sequence edge ({u!r}, {v!r}) has no such vertex")
+    for e in sequence:
+        u, v = e if isinstance(e, tuple | list) and len(e) == 2 else (-1, -1)
+        if not (is_int(u) and is_int(v) and 0 <= u < g.n and 0 <= v < g.n and g.adj[u] >> v & 1):
+            raise InputError(f"gluing sequence item {e!r} is not an edge of the graph")
         ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             raise InputError("gluing sequence edge joins an already-joined component")
@@ -479,7 +478,7 @@ def enumerate_connected_rule_trees(g: Graph) -> tuple[AssemblyTree, ...]:
     """All distinct connected-rule assembly trees (children partition the
     parent label; each part induces a connected subgraph)."""
     _check_countable(g, "enumerate_connected_rule")
-    return tuple(_trees_by_subset(g, True)[g.full_mask])
+    return tuple(t for t, in _trees_by_subset(g, True)[g.full_mask])
 
 
 def enumerate_connected_rule(g: Graph) -> set[CanonicalCode]:

@@ -267,12 +267,30 @@ def test_table_over_budget_is_refused_by_the_counters_meter_exit_1(capsys, monke
         raise AssertionError("cross-check DP started")
 
     monkeypatch.setattr(trees, "count_edge_rule", unreachable)
+    meters, charges = [], []
+
+    class Spy(trees.Meter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            meters.append(self)
+
+        def charge(self, units):
+            charges.append(units)
+            super().charge(units)
+
+    monkeypatch.setattr(trees, "Meter", Spy)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "table", "--family", "bipartite", "--max", "100")
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
     assert err.startswith("refused:") and err.count("\n") == 1
     assert "units of work, the cap" in err
+    # the work done is bounded without a clock: the counter's one meter
+    # refuses at the first charge past its limit, a state's count, which
+    # passes it by under 1% of the budget
+    (meter,) = meters
+    assert meter.work - charges[-1] <= meter.limit < meter.work
+    assert charges[-1] < meter.limit // 100
 
 
 def test_table_cells_are_the_states_of_one_count(capsys):

@@ -44,7 +44,7 @@ from asmtree import (
 )
 from asmtree import errors, trees
 from asmtree.errors import Meter
-from asmtree.graphs import _connected_mask, _mapped
+from asmtree.graphs import _components, _connected_mask, _mapped
 from asmtree.symmetry import automorphisms, layout_automorphisms
 
 KNOWN_EDGE_COUNTS = [
@@ -138,17 +138,37 @@ def test_one_work_budget_bounds_every_route(monkeypatch):
             assert meters[0].limit == 5000 * per_unit and meters[0].work == meters[0].limit + over
 
 
-@pytest.mark.parametrize("g,charge,count", [
-    (family("path", [5]), 102, 14),
-    (family("complete_multipartite", [3, 3]), 134, 450),
-], ids=["P5", "K33"])
-def test_edge_rule_charges_are_pinned(g, charge, count, monkeypatch):
+@pytest.mark.parametrize("rule,g,charge,count", [
+    (count_edge_rule, family("path", [5]), 102, 14),
+    (count_edge_rule, family("complete_multipartite", [3, 3]), 134, 450),
+    # the connected rule walks the components of a disconnected rest once
+    (count_connected_rule, family("complete_multipartite", [3, 3]), 145, 1543),
+    (count_connected_rule, family("cycle", [8]), 819, 14407),
+], ids=["P5", "K33", "K33_connected", "C8_connected"])
+def test_edge_rule_charges_are_pinned(rule, g, charge, count, monkeypatch):
     # a budget equal to the charge admits the graph, one unit less refuses it
     monkeypatch.setattr(errors, "WORK_BUDGET", charge)
-    assert count_edge_rule(g) == count
+    assert rule(g) == count
     monkeypatch.setattr(errors, "WORK_BUDGET", charge - 1)
     with pytest.raises(CapExceeded, match="units of work, the cap"):
-        count_edge_rule(g)
+        rule(g)
+
+
+def test_connected_rule_walks_each_disconnected_rest_once(monkeypatch):
+    # the forests of a disconnected rest, the product over its components,
+    # are stored the first time it is a rest: the 4x4 grid has 7,382 such
+    # rests, which its splits met 97,035 times
+    calls = []
+
+    def spy(adj, mask):
+        calls.append(mask)
+        return _components(adj, mask)
+
+    monkeypatch.setattr(trees, "_components", spy)
+    g = POLYHEDRA["grid4x4"]
+    assert count_connected_rule(g) == POLYHEDRA_COUNTS["grid4x4"][1]
+    assert len(calls) == len(set(calls)) == 7382
+    assert not any(_connected_mask(g.adj, r) for r in calls)
 
 
 def test_enumerate_sizes():
@@ -266,6 +286,20 @@ def test_gluing_sequence_tree_structure():
     assert left.label == 0b011
 
 
+@pytest.mark.parametrize("sequence", [
+    [(0, 2), (0, 1)],  # (0, 2) is no edge of P_3: ((0,2),1) is no tree of it
+    [(0,)],
+    [(0, 1, 2)],
+    [0],
+    [(1, 1)],
+    [("0", 1)],
+    [(True, 2)],  # (1, 2) is an edge, but True is no vertex
+], ids=["non_edge", "short", "long", "int", "loop", "str", "bool"])
+def test_gluing_sequence_items_must_be_edges(sequence):
+    with pytest.raises(InputError, match="is not an edge of the graph"):
+        gluing_sequence_tree(family("path", [3]), sequence)
+
+
 def test_three_way_agreement_spot():
     for g in (family("path", [5]), family("cycle", [5]), family("star2", [2])):
         n_count = count_edge_rule(g)
@@ -345,6 +379,13 @@ def test_assembly_tree_validation():
         AssemblyTree(0b111, (pair, AssemblyTree(0b110, (AssemblyTree.leaf(1), AssemblyTree.leaf(2)))))
     with pytest.raises(InputError):  # one child
         AssemblyTree(0b11, (pair,))
+    # an internal label is an int, not a float or a bool, and a child is a tree
+    with pytest.raises(InputError, match="integer union"):
+        AssemblyTree(3.0, (AssemblyTree.leaf(0), AssemblyTree.leaf(1)))
+    with pytest.raises(InputError, match="assembly trees"):
+        AssemblyTree(3, (1, 2))
+    with pytest.raises(InputError, match="assembly trees"):
+        AssemblyTree(3, (AssemblyTree.leaf(0), 2))
     # sorting children by their lowest vertex alone gives the same code
     mixed = AssemblyTree(0b1111, (AssemblyTree(0b1010, (AssemblyTree.leaf(3), AssemblyTree.leaf(1))),
                                   AssemblyTree.leaf(2), AssemblyTree.leaf(0)))
@@ -448,10 +489,11 @@ def test_subset_dp_closures_are_freed_on_return():
     import tracemalloc
     from types import FunctionType
 
-    from asmtree import count_connected_rule, enumerate_edge_rule
+    from asmtree import count_connected_rule, enumerate_connected_rule, enumerate_edge_rule
 
     def leftover():
-        owners = ("_count_trees.", "_trees_by_subset.")
+        # the hooks of both wrappers; the shared loop defines none of its own
+        owners = ("_count_trees.", "_trees_by_subset.", "_assemble.")
         return [
             o for o in gc.get_objects()
             if isinstance(o, FunctionType) and o.__qualname__.startswith(owners)
@@ -463,6 +505,7 @@ def test_subset_dp_closures_are_freed_on_return():
         assert count_edge_rule(family("cycle", [6])) == 126
         assert len(enumerate_edge_rule(family("path", [4]))) == 5
         assert count_connected_rule(family("path", [4])) == 11
+        assert len(enumerate_connected_rule(family("cycle", [4]))) == 19
         assert leftover() == []
         for count in (count_edge_rule, count_connected_rule):
             g = family("cycle", [14])
@@ -732,7 +775,7 @@ def test_symmetric_graphs_match_the_core_without_orbits(name, monkeypatch):
     h = relabel(g, random_permutation(random.Random(name), g.n))
     assert count_edge_rule(h) == edge
     if name == "dodecahedron":
-        # 152,798 states in 1,420 orbits; the connected rule needs 2-3 million units
+        # 152,798 states in 1,420 orbits; the connected rule needs 1,636,645 units
         t0 = time.perf_counter()
         with pytest.raises(CapExceeded, match="units of work, the cap"):
             count_connected_rule(g)
