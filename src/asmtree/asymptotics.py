@@ -30,11 +30,11 @@ _RESCALE_AT = 1e120
 _FLOAT_LIMIT = 2**1023  # a smaller int converts to float without overflow
 
 # Steps in one unit of the work budget; a float iteration takes n_max *
-# sum(deg_i + 1). With CPython 3.11 on a 2-vCPU virtual machine a unit costs
-# 3.5-5 us for builtin c and about 12 us for builtin a.
+# sum(deg_i + 1), and a logged term at least 25 (a float in a list costs
+# ~32 bytes), so at most 2*10^6 terms are logged. With CPython 3.11 on a
+# 2-vCPU virtual machine a unit costs 3.5-5 us for builtin c and about 12 us
+# for builtin a.
 _STEPS_PER_UNIT = 50
-# Most terms one LogSequence may hold (a float in a list costs ~32 bytes).
-MAX_LOG_TERMS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,7 @@ def log_sequence(rec: PRecurrence, initial, n_max: int) -> LogSequence:
     L = rec.order
     if not is_int(n_max) or n_max < rec.offset + L + 2:
         raise InputError(f"n_max must be an integer >= {rec.offset + L + 2}, got {n_max!r}")
-    if n_max > MAX_LOG_TERMS:
-        raise ComputationRefused(f"n_max is over the limit of {MAX_LOG_TERMS} logged terms")
-    work = n_max * sum(d + 1 for d in rec.degrees())
+    work = n_max * max(sum(d + 1 for d in rec.degrees()), 25)
     Meter(f"iterating to n_max {n_max} needs", _STEPS_PER_UNIT).charge(work)
     ipolys = rec.integer_polys()
     for p, d in zip(ipolys, rec.degrees()):

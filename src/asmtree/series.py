@@ -32,8 +32,11 @@ the tree count at f, and hgraph_egf stores it as it is. Cells that a
 permutation of interchangeable template vertices maps onto earlier cells
 are copied, not computed: whole rows, and the start of each computed row
 when the row axis (the last coordinate) has twins. One Meter of the work
-budget (25 steps a unit) is charged the estimated cost of the window and
-of each face before its work; a symmetric window takes a fraction of it.
+budget is charged each piece of work just before it is done: a table's
+cells before it is allocated, each radicand term as it is built, each
+computed row by its cells and the terms it visits, and each copied row or
+segment at a copy price (see _STEPS_PER_UNIT). A dump, to_json_obj, is
+charged to a Meter of its own before any cell is read.
 """
 
 from __future__ import annotations
@@ -159,6 +162,13 @@ class TruncatedSeries:
         return f"TruncatedSeries(caps={self.caps}, [{head}...])"
 
     def to_json_obj(self) -> list:
+        """The nonzero cells as {"exp": exponent, "coeff": "p/q"} objects. A
+        Meter of its own is charged every cell's read first, at 100 steps a
+        unit (a cell takes 3-20 us to read and print: about 2.5 s in all)."""
+        cells = self._coeffs
+        bits = sum(v.numerator.bit_length() for v in cells)
+        meter = Meter(f"a dump of {len(cells)} cells needs", 100)
+        meter.charge(4 * len(cells) + 240 * (len(cells) - cells.count(0)) + bits // 4)
         fact = _factorials(max(self.caps))
         obj = []
         for exp, v in self._cells():  # one gcd a cell, and no Fraction for an int cell
@@ -169,35 +179,16 @@ class TruncatedSeries:
         return obj
 
 
-# Steps of _window_meter in one unit of the work budget. With CPython 3.11 on
-# a 2-vCPU virtual machine a window runs 10-21 million steps per second, a
-# unit 1.2-2.5 us, so an admitted window and its faces take at most about
-# 2.5 s. The tripartite window at caps 66 (acceptance criterion 7) is
-# estimated at 1.4e7; _sqrt_table copies the mirror cells of a symmetric
-# window, so it takes a fifth or less of the time its estimate allows. A
-# read of a cell is priced at 20 steps (1-2 us), but `asmtree series` reads
-# and prints a cell in about 5 us, so the command takes longer than its
-# window: 4-6 s, 347 MB and 61 MB of stdout at tripartite caps 76.
+# Steps in one unit of the work budget. A step is about 25 ns (CPython 3.11,
+# 2 vCPUs), a unit 0.5-0.8 us from the symmetric tripartite window to ones
+# whose rows hold one or two cells: an admitted window takes at most about
+# 0.8 s. Prices in steps: a table cell 2 when allocated; a coordinate value
+# 20 + 2 a radicand term to set up a table; a computed cell 6 + w/5 per term
+# it visits, half again for a term that reaches along the row, and once more
+# (w the 64-bit words of a coefficient, s*log2(s) bits at exponent sum s); a
+# term a computed row visits 60; a copied row 80 and segment 40; a radicand
+# term built 40; a vertex set tried as a block 60, as its partner 10.
 _STEPS_PER_UNIT = 25
-
-
-def _window_meter(caps, meter=None):
-    """Charge `meter` (by default a new Meter of the work budget that refuses
-    the window `caps`) the estimated steps of the cells of the window `caps`,
-    and return it with the function that charges it those of its radicand
-    terms. The cell coefficients have at most about top*log2(top) bits
-    (words of 64 bits), top = sum(caps). Per cell: 20 for dividing the cell
-    by its factorials when it is read (`asmtree series` reads every cell),
-    words^2/128 for the exact division and gcd of the cell's coefficient,
-    and 1 + words/8 per radicand term of the recurrence (a term multiplies
-    and adds coefficients of that size, and the pair terms of a clique-bit
-    block carry large tree counts of their own)."""
-    top = sum(caps)
-    words = top * top.bit_length() // 64
-    cells = prod(c + 1 for c in caps)
-    meter = meter or Meter(f"EGF window {tuple(caps)} needs", _STEPS_PER_UNIT)
-    meter.charge(cells * (20 + words * words // 128))
-    return meter, lambda terms: meter.charge(cells * (terms * (8 + words) // 8))
 
 
 def _symmetry_classes(window: dict, caps: tuple) -> list[tuple[int, ...]]:
@@ -221,7 +212,7 @@ def _symmetry_classes(window: dict, caps: tuple) -> list[tuple[int, ...]]:
     return [tuple(c) for c in classes if len(c) > 1]
 
 
-def _sqrt_table(radicand: dict, caps) -> list[int]:
+def _sqrt_table(radicand: dict, caps, meter: Meter) -> list[int]:
     """The table -T of T[f] = (prod_i f_i!) * g[f] for g = sqrt(R), as a flat
     list in TruncatedSeries order, from the scaled radicand
     radicand[m] = (prod_i m_i!) * R[m], an integer dict with constant term 1.
@@ -252,18 +243,21 @@ def _sqrt_table(radicand: dict, caps) -> list[int]:
     v_1 <= ... <= v_r: a cell k < v_r sorts to an earlier row, where k
     moves to p_t for v_(t-1) <= k < v_t, so each segment [v_(t-1), v_t) is
     one strided slice along p_t, and only the cells k >= v_r are computed.
-    The tripartite window thus computes about a sixth of its cells.
+    The tripartite window thus computes about a sixth of its cells. Each
+    piece of work is charged to `meter` just before it (_STEPS_PER_UNIT).
     """
     caps = tuple(caps)
     if radicand.get((0,) * len(caps)) != 1:
         raise InputError("radicand must have constant term 1")
+    window = {m: r for m, r in radicand.items() if r and all(e <= c for e, c in zip(m, caps))}
+    cells = prod(c + 1 for c in caps)
+    # the table, then the classes, the binomial columns, `fits` and `along_at`
+    meter.charge(2 * cells + (sum(caps) + len(caps)) * (20 + 2 * len(window)))
+    table = [0] * cells
     last = len(caps) - 1
     width = caps[-1] + 1
     head = caps[:-1]
     strides = _window_strides(caps)
-    window = {
-        m: r for m, r in radicand.items() if r and all(e <= c for e, c in zip(m, caps))
-    }
     axis, classes = (), []  # head positions sharing the row axis's class; head classes
     for cls in _symmetry_classes(window, caps):
         if cls[-1] == last:
@@ -281,15 +275,19 @@ def _sqrt_table(radicand: dict, caps) -> list[int]:
             along.append((m[-1], r))
     fits = [[sum(1 << t for t, x in enumerate(cross) if x[2][i] <= v) for v in range(c + 1)]
             for i, c in enumerate(head)]  # fits[i][v]: bit t set when cross[t] has m_i <= v
+    reach = sum(1 << t for t, x in enumerate(cross) if x[2][-1])  # terms also along the row
     col = {e: [comb(n, e) for n in range(max(caps) + 1)] for m in window for e in m if e}
     # terms in the last variable alone, weighted by C(j, e) at row cell j
     along_at = [[(e, r * col[e][j]) for e, r in along if e <= j] for j in range(width)]
-    table = [0] * (prod(c + 1 for c in head) * width)
     table[0] = -1
 
     def not_integral(cell):
         return EngineError(f"square-root table is not integral at {cell}")
 
+    def price(ops, top):  # steps of `ops` cell-term products at exponent sum `top`
+        return ops * (6 + top * top.bit_length() // 320)
+
+    meter.charge(price(width * (len(along) + 1), width - 1))
     for j in range(1, width):  # the row of the last variable: p is last
         q, rem = divmod(sum(w * (2 * j - 3 * e) * table[j - e] for e, w in along_at[j]), 2 * j)
         if rem:
@@ -306,14 +304,19 @@ def _sqrt_table(radicand: dict, caps) -> list[int]:
                     key[i] = e
             src = sum(e * s for e, s in zip(key, strides))
             if src != start:
+                meter.charge(80)
                 table[start : start + width] = table[src : src + width]
                 continue
-        lo = 0
+        todo = reduce(int.__and__, map(list.__getitem__, fits, f))  # the cross terms with m <= f
+        visited = todo.bit_count()
+        lo = f[axis[-1]] if axis else 0
+        terms = visited + (todo & reach).bit_count() // 2 + len(along) + 1
+        meter.charge(price((width - lo) * terms, sum(f) + width - 1)
+                     + 60 * visited + 40 * len(axis))
         if axis:
             # cells k < v_r: segment [v_(t-1), v_t) runs along p_t from base,
             # the cell with p_t at 0, p_(t+1..r) at v_(t..r-1), the last at v_r
             vals = [f[i] for i in axis]
-            lo = vals[-1]
             steps = [strides[i] for i in axis]
             nexts = steps[1:] + [0]
             base = start + lo + sum(v * (n - s) for v, s, n in zip(vals, steps, nexts))
@@ -325,7 +328,6 @@ def _sqrt_table(radicand: dict, caps) -> list[int]:
         p = next(i for i, e in enumerate(f) if e)
         two_fp = 2 * f[p]
         acc = [0] * (width - lo)  # cells lo.. of the row
-        todo = reduce(int.__and__, map(list.__getitem__, fits, f))  # the cross terms with m <= f
         while todo:
             nz, back, m, r = cross[(todo & -todo).bit_length() - 1]
             todo &= todo - 1
@@ -357,13 +359,13 @@ def _sqrt_table(radicand: dict, caps) -> list[int]:
 def _radicand_pairs(spec: HSpec, caps, meter: Meter) -> list[tuple[int, int]]:
     """The pairs {U, V} (bitsets, U < V) of disjoint connected template
     vertex sets with no template edge between them, over the vertices with
-    a nonzero cap (only those occur in a window monomial). Each submask
-    visited is charged 20 steps to `meter`, as a read of a cell."""
+    a nonzero cap (only those occur in a window monomial). The submasks
+    each loop visits are charged to `meter` before it starts."""
     base = spec.base
     live = sum(1 << i for i in range(base.n) if caps[i])
+    meter.charge(60 << live.bit_count())
     blocks, b = set(), 0
     while b := (b - live) & live:  # submasks of `live` in increasing order
-        meter.charge(20)
         if is_connected_subset(base, b):
             blocks.add(b)
     pairs = []
@@ -372,18 +374,18 @@ def _radicand_pairs(spec: HSpec, caps, meter: Meter) -> list[tuple[int, int]]:
         for i in range(base.n):
             if u >> i & 1:
                 far &= ~base.adj[i]
+        meter.charge(10 << far.bit_count())
         v = 0
         while v := (v - far) & far:  # submasks of `far` in increasing order
-            meter.charge(20)
             if v > u and v in blocks:
                 pairs.append((u, v))
     return pairs
 
 
-def _radicand_terms(spec: HSpec, pairs, parts: dict) -> dict:
+def _radicand_terms(spec: HSpec, pairs, parts: dict, meter: Meter) -> dict:
     """The scaled radicand (prod_i m_i!) * R[m] of R = (1 - A)^2 for the
     template EGF A, from the parts parts[U] = {a: (prod_i a_i!) * A_U[a]}
-    of the blocks of `pairs`.
+    of the blocks of `pairs`, each term charged to `meter` as it is built.
 
     A = sum x_i + (1/2)*P_conn(A^2), where P_conn keeps the monomials whose
     blow-up is connected, so R = 1 - 2*sum x_i + (A^2 - P_conn(A^2)). A^2 is
@@ -394,6 +396,7 @@ def _radicand_terms(spec: HSpec, pairs, parts: dict) -> dict:
     _radicand_pairs).
     """
     n = spec.base.n
+    meter.charge(40 * 2 * n)
     terms: dict[tuple, int] = {(0,) * n: 1}
     for i in range(n):
         e = [0] * n
@@ -404,6 +407,7 @@ def _radicand_terms(spec: HSpec, pairs, parts: dict) -> dict:
             terms[tuple(e)] = 2
     for u, v in pairs:
         for eu, cu in parts[u].items():
+            meter.charge(40 * len(parts[v]))
             for ev, cv in parts[v].items():
                 terms[tuple(a + b for a, b in zip(eu, ev))] = 2 * cu * cv
     return terms
@@ -422,9 +426,10 @@ def hgraph_egf(spec: HSpec, caps) -> TruncatedSeries:
     Elsewhere R carries the part A_U of each block U of its pairs, read from
     the cells using every variable of U on the face of the window zeroing
     every cap off U. Each face is filled once, after the faces inside it,
-    from the parts of the pairs inside it, and the window last. The work
-    budget, at 25 steps a unit, is charged the window's cells, pair listing
-    and terms, then each face as a window (_window_meter), raising CapExceeded.
+    from the parts of the pairs inside it, and the window last. One Meter
+    of the work budget, at 25 steps a unit, is charged each piece of this
+    work just before it is done, and raises CapExceeded at the charge that
+    passes the budget.
     """
     if not spec.base.is_connected():
         raise DisconnectedGraph("hgraph_egf needs a connected template graph")
@@ -432,22 +437,16 @@ def hgraph_egf(spec: HSpec, caps) -> TruncatedSeries:
     if len(caps) != spec.base.n:
         raise InputError(f"caps must have {spec.base.n} entries")
     _check_caps(caps)
-    meter, charge_terms = _window_meter(caps)
+    meter = Meter(f"EGF window {caps} needs", _STEPS_PER_UNIT)
     pairs = _radicand_pairs(spec, caps, meter)
-    # monomials of A_U in the window: x_i alone on an independent block {i}
-    size = {u: prod(c for i, c in enumerate(caps) if u >> i & 1)
-            if u & u - 1 or spec.phi[u.bit_length() - 1] else 1 for pair in pairs for u in pair}
-    # x_i and x_i^2 for every vertex, at most, plus the pair products
-    charge_terms(2 * spec.base.n + sum(size[u] * size[v] for u, v in pairs))
     parts: dict[int, dict] = {}
-    for block in sorted(size):  # a block after its submasks, the blocks inside it
+    for block in sorted({u for pair in pairs for u in pair}):  # after the blocks inside it
         face = tuple(c if block >> i & 1 else 0 for i, c in enumerate(caps))
         inner = [(u, v) for u, v in pairs if not (u | v) & ~block]
-        _window_meter(face, meter)[1](2 * spec.base.n + sum(size[u] * size[v] for u, v in inner))
-        cells = zip(product(*(range(c + 1) for c in face)),
-                    _sqrt_table(_radicand_terms(spec, inner, parts), face))
+        radicand = _radicand_terms(spec, inner, parts, meter)
+        cells = zip(product(*(range(c + 1) for c in face)), _sqrt_table(radicand, face, meter))
         parts[block] = {e: c for e, c in cells if c and all(k for k, i in zip(e, face) if i)}
-    table = _sqrt_table(_radicand_terms(spec, pairs, parts), caps)
+    table = _sqrt_table(_radicand_terms(spec, pairs, parts, meter), caps, meter)
     table[0] = 0
     return TruncatedSeries(caps, table)
 
@@ -482,8 +481,8 @@ def b_egf(N: int, M: int, J: int, cap: int) -> list[Fraction]:
     if not (is_int(cap) and cap >= 0):
         raise InputError("b_egf needs cap >= 0")
     radicand = {(0,): 1, (1,): -2 * N, (2,): 2 * (2 * comb(N, 2) - 2 * M + J)}
-    _window_meter((cap,))[1](2)
-    table = _sqrt_table(radicand, (cap,))
+    meter = Meter(f"EGF window {(cap,)} needs", _STEPS_PER_UNIT)
+    table = _sqrt_table(radicand, (cap,), meter)
     fact = _factorials(cap)
     return [Fraction(0)] + [Fraction(t, d) for t, d in zip(table[1:], fact[1:])]
 

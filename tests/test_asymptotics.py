@@ -132,9 +132,9 @@ def test_iteration_budget_refuses_before_the_warmup(monkeypatch):
     monkeypatch.setattr(asymptotics, "extend", unreachable)
     c = builtin("c")
     for rec, init, n_max in [
-        (c, [0, 3, 84, 4935], 10**9),  # over the step budget and the logs limit
-        (c, [0, 3, 84, 4935], asymptotics.MAX_LOG_TERMS),  # over the step budget
-        (CATALAN, [1], asymptotics.MAX_LOG_TERMS + 1),  # few steps, too many logs
+        (c, [0, 3, 84, 4935], 10**9),  # far over the step budget
+        (c, [0, 3, 84, 4935], 2_000_000),  # over the step budget
+        (CATALAN, [1], 2_000_001),  # few steps, but 25 a logged term
     ]:
         with pytest.raises(ComputationRefused):
             log_sequence(rec, init, n_max)

@@ -413,7 +413,8 @@ def test_diagonal_over_budget_exit_1(capsys, monkeypatch):
     def unreachable(*_):
         raise AssertionError("window work started")
 
-    monkeypatch.setattr(series, "_sqrt_table", unreachable)
+    # the window's cells are charged before its table is allocated
+    monkeypatch.setattr(series, "_symmetry_classes", unreachable)
     code, out, err = run_cli(
         capsys, "diagonal", "--hgraph", TRIPARTITE_JSON, "--upto", "3000"
     )

@@ -299,29 +299,46 @@ def test_fuzz_series(argv):
     _run(argv)
 
 
+def _series(n, edges, phi, caps):
+    """`series` on a template of n vertices with the given caps."""
+    return ["series", "--hgraph", _hgraph_json((n, edges, phi, [1] * n)),
+            "--caps", ",".join(map(str, caps))]
+
+
 def _path_series(caps):
     """`series` on the path template with one vertex per cap."""
     n = len(caps)
-    edges = [[v, v + 1] for v in range(n - 1)]
-    return ["series", "--hgraph", _hgraph_json((n, edges, [0] * n, [1] * n)),
-            "--caps", ",".join(map(str, caps))]
+    return _series(n, [[v, v + 1] for v in range(n - 1)], [0] * n, caps)
+
+
+# a 12-vertex template whose row axis has cap 0, so each row holds one or
+# two cells; it took 3.5 s while a cost estimate admitted it
+FOUND = (12, [[0, 7], [0, 9], [0, 10], [1, 6], [1, 10], [1, 11], [2, 9], [3, 9], [4, 5],
+              [5, 8], [5, 9], [6, 9], [8, 10]], [0, 1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0])
+TRIPARTITE = (3, [[0, 1], [0, 2], [1, 2]], [0, 0, 0])
 
 
 @pytest.mark.parametrize("argv,want,wall", [
     # 4 cells on the two ends of a 28-vertex path: its radicand pairs are
     # found among the subsets of the live vertices, not every smaller mask
     (_path_series([1] + [0] * 26 + [1]), 0, 1.0),
-    # 2^22 cells, refused on its cells before any pair is listed
+    # refused on the 2^22 submasks its pair listing would visit, at once
     (_path_series([1] * 22), 1, 1.0),
-    # the largest admitted path with every cap 1: 87 faces, each filled once
-    (_path_series([1] * 13), 0, WALL_S),
-    # refused on its faces (3.9e7 steps, 3.7 s of work with the meter lifted)
-    (_path_series([1] * 14), 1, 1.0),
-    # refused on its radicand terms
-    (_path_series([1] * 15), 1, 1.0),
-    # refused while its pairs are listed
+    # the largest admitted path with every cap 1: 75 faces, each filled once
+    (_path_series([1] * 12), 0, WALL_S),
+    # refused at a row of a face or of the window, as each is reached
+    (_path_series([1] * 13), 1, 2.5),
+    (_path_series([1] * 14), 1, 2.5),
+    (_path_series([1] * 15), 1, 2.5),
+    # refused on its pair listing, at once
     (_path_series([1] * 20), 1, 1.0),
-], ids=["path28_ends", "path22_all", "path13_all", "path14_all", "path15_all", "path20_all"])
+    (_series(*FOUND, [1, 1, 0, 3, 3, 1, 1, 1, 1, 3, 1, 0]), 1, 2.5),
+    # the largest tripartite window whose dump is admitted, about 2 s of
+    # printing, and the first one refused before any cell is printed
+    (_series(*TRIPARTITE, [62] * 3), 0, WALL_S),
+    (_series(*TRIPARTITE, [63] * 3), 1, 1.0),
+], ids=["path28_ends", "path22_all", "path12_all", "path13_all", "path14_all", "path15_all",
+        "path20_all", "found_template", "tripartite_dump_62", "tripartite_dump_63"])
 def test_wide_path_windows_end_at_once(argv, want, wall):
     code, elapsed = _run(argv)
     assert code == want and elapsed < wall

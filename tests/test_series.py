@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import time
 from fractions import Fraction as F
 from itertools import permutations
 from math import comb, factorial, prod
@@ -35,7 +36,8 @@ from asmtree import (
     relabel,
     same_extension,
 )
-from asmtree import series
+from asmtree import errors, series
+from asmtree.errors import CapExceeded, Meter
 from asmtree.rationals import format_rational
 
 BIPARTITE = HSpec(family("complete", [2]), (0, 0))
@@ -494,7 +496,7 @@ def test_integer_engine_matches_sqrt1(caps):
             g = sqrt1(
                 TruncatedSeries.from_terms(caps, {m: F(r, weight[m]) for m, r in rt.items()})
             )
-            table = series._sqrt_table(rt, caps)
+            table = series._sqrt_table(rt, caps, Meter("the table needs"))
             for idx, exp in enumerate(g.exponents()):
                 assert -table[idx] == g.coeff(exp) * prod(factorial(e) for e in exp), exp
 
@@ -502,7 +504,7 @@ def test_integer_engine_matches_sqrt1(caps):
 def test_integer_engine_rejects_non_integral_table():
     # R = 1 - x: 2*T[1] = -1 has no integer solution
     with pytest.raises(EngineError):
-        series._sqrt_table({(0,): 1, (1,): -1}, (3,))
+        series._sqrt_table({(0,): 1, (1,): -1}, (3,), Meter("the table needs"))
 
 
 @pytest.mark.parametrize(
@@ -519,7 +521,7 @@ def test_integer_engine_rejects_non_integral_symmetric_table(radicand, cell):
     full = radicand[(0, 0, 1)] == radicand[(1, 0, 0)]
     assert series._symmetry_classes(radicand, (3, 3, 3)) == ([(0, 1, 2)] if full else [(0, 1)])
     with pytest.raises(EngineError, match=re.escape(str(cell))):
-        series._sqrt_table(radicand, (3, 3, 3))
+        series._sqrt_table(radicand, (3, 3, 3), Meter("the table needs"))
 
 
 def _cells_sha256(egf: TruncatedSeries) -> str:
@@ -530,9 +532,9 @@ def _spy_sqrt_table(monkeypatch) -> list:
     """Record the (radicand, caps) of every _sqrt_table call, in order."""
     calls, real = [], series._sqrt_table
 
-    def spy(radicand, caps):
+    def spy(radicand, caps, meter):
         calls.append((radicand, tuple(caps)))
-        return real(radicand, caps)
+        return real(radicand, caps, meter)
 
     monkeypatch.setattr(series, "_sqrt_table", spy)
     return calls
@@ -633,33 +635,116 @@ def test_egf_windows_over_budget_are_refused_before_any_work(monkeypatch):
     def unreachable(*_):
         raise AssertionError("window work started")
 
-    # faces are filled by _sqrt_table too
-    monkeypatch.setattr(series, "_sqrt_table", unreachable)
-    with pytest.raises(ComputationRefused):
+    # a table's cells, and the submasks the pair listing visits, are
+    # charged before the table is allocated or the first one is visited
+    monkeypatch.setattr(series, "_symmetry_classes", unreachable)
+    with pytest.raises(CapExceeded):
         hgraph_egf(TRIPARTITE, (3000, 3000, 3000))
-    with pytest.raises(ComputationRefused):
-        hgraph_egf(HSpec(Graph(3, [(0, 1), (1, 2)]), (1, 0, 1)), (60, 60, 60))
-    with pytest.raises(ComputationRefused):
-        b_egf(1, 0, 0, 100000)
+    with pytest.raises(CapExceeded):
+        b_egf(1, 0, 0, 10**7)
+    monkeypatch.setattr(series, "is_connected_subset", unreachable)
+    with pytest.raises(CapExceeded):
+        hgraph_egf(HSpec(family("path", [22]), (1,) * 22), (1,) * 22)
+
+
+def _refused(monkeypatch, call):
+    """The seconds `call` takes to be refused by the work budget, and its
+    one Meter, which keeps its last charge as `last`."""
+    meters = []
+
+    class Spy(Meter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            meters.append(self)
+
+        def charge(self, units):
+            self.last = units
+            super().charge(units)
+
+    monkeypatch.setattr(series, "Meter", Spy)
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"^[^\n]* over 1e\+06 units of work, the cap$"):
+        call()
+    elapsed = time.perf_counter() - t0
+    assert len(meters) == 1
+    return elapsed, meters[0]
+
+
+# a 12-vertex template whose row axis has cap 0: its rows hold one or two
+# cells, and it visits a radicand term 1.2 million times
+FOUND = HSpec(
+    Graph(12, [(0, 7), (0, 9), (0, 10), (1, 6), (1, 10), (1, 11), (2, 9), (3, 9), (4, 5),
+               (5, 8), (5, 9), (6, 9), (8, 10)]),
+    (0, 1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0),
+)
+FOUND_CAPS = (1, 1, 0, 3, 3, 1, 1, 1, 1, 3, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hgraph_egf(TRIPARTITE, (115, 115, 115)),
+        lambda: hgraph_egf(HSpec(Graph(3, [(0, 1), (1, 2)]), (1, 0, 1)), (60, 60, 60)),
+        lambda: hgraph_egf(HSpec(family("path", [15]), (1,) * 15), (1,) * 15),
+        lambda: hgraph_egf(FOUND, FOUND_CAPS),
+    ],
+    ids=["tripartite-115", "path-clique-leaves-60", "path15-caps-1", "found-template"],
+)
+def test_egf_windows_over_budget_are_refused_at_a_row(call, monkeypatch):
+    # each row is charged as it is reached, so the work at refusal passes
+    # the limit by one row's charge, a sliver of the budget
+    elapsed, meter = _refused(monkeypatch, call)
+    assert elapsed < 2.5
+    assert meter.limit < meter.work <= meter.limit + meter.last < meter.limit * 1.01
+
+
+def test_one_dimensional_window_is_refused_at_its_only_row(monkeypatch):
+    # the table fits the budget, but its one row, at about 1.7 million bits
+    # a coefficient, does not
+    elapsed, meter = _refused(monkeypatch, lambda: b_egf(1, 0, 0, 100000))
+    assert elapsed < 0.5 and meter.last > meter.limit
 
 
 @pytest.mark.parametrize(
     "spec, admitted",
     [
-        (TRIPARTITE, 76),
-        (BIPARTITE, 367),
-        (HSpec(Graph(3, [(0, 1), (1, 2)]), (1, 0, 1)), 25),
-        (HSpec(Graph(3, [(0, 1), (1, 2)]), (1, 0, 0)), 48),
+        (TRIPARTITE, 114),
+        (BIPARTITE, 572),
+        (HSpec(Graph(3, [(0, 1), (1, 2)]), (1, 0, 1)), 23),
+        (HSpec(Graph(3, [(0, 1), (1, 2)]), (1, 0, 0)), 42),
     ],
     ids=["tripartite", "bipartite", "path-clique-leaves", "path-one-clique-leaf"],
 )
-def test_egf_admission_boundaries(spec, admitted, monkeypatch):
-    # every charge comes before the table it prices, so empty tables will do
-    monkeypatch.setattr(series, "_sqrt_table", lambda _, caps: [0] * prod(c + 1 for c in caps))
+def test_egf_admission_boundaries(spec, admitted):
     hgraph_egf(spec, (admitted,) * spec.base.n)
     refusal = r"^EGF window \(.*\) needs over 1e\+06 units of work, the cap$"
     with pytest.raises(ComputationRefused, match=refusal):
         hgraph_egf(spec, (admitted + 1,) * spec.base.n)
+
+
+def test_copied_cells_are_charged_below_computed_ones(monkeypatch):
+    # with no symmetry classes every cell of the tripartite window is
+    # computed: the same table, at more than twice the charge
+    def charged():
+        meters = []
+        monkeypatch.setattr(series, "Meter", lambda *args: meters.append(Meter(*args)) or meters[-1])
+        return hgraph_egf(TRIPARTITE, (12, 12, 12)), meters[0].work
+
+    copied, work = charged()
+    monkeypatch.setattr(series, "_symmetry_classes", lambda *_: [])
+    computed, more = charged()
+    assert computed == copied and more > 2 * work
+
+
+def test_dump_is_charged_before_any_cell_is_read(monkeypatch):
+    def unreachable(*_):
+        raise AssertionError("a cell was read")
+
+    egf = hgraph_egf(TRIPARTITE, (12, 12, 12))
+    monkeypatch.setattr(series, "_factorials", unreachable)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1000)
+    with pytest.raises(CapExceeded, match=r"^a dump of 2197 cells needs over 1e\+03 units"):
+        egf.to_json_obj()
 
 
 def test_dump_reads_each_cell_as_its_fraction():

@@ -114,7 +114,7 @@ def test_one_work_budget_bounds_every_route(monkeypatch):
     path = HSpec(Graph(3, [(0, 1), (1, 2)]), (1, 0, 1))
     routes = [  # module, steps per unit, charge in steps, the route
         (trees, 1, 102, lambda: count_edge_rule(family("path", [5]))),
-        (series, 25, 2628, lambda: hgraph_egf(path, (3, 3, 3))),
+        (series, 25, 11834, lambda: hgraph_egf(path, (3, 3, 3))),
         (recurrences, 50, 112, lambda: guess(catalan, 1, 1)),
         (asymptotics, 50, 48000, lambda: log_sequence(builtin("c"), [0, 3, 84, 4935], 1000)),
     ]
