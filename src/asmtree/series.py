@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import islice, product
 from math import comb, gcd, prod
 
 from .errors import DisconnectedGraph, EngineError, InputError, Meter
@@ -157,7 +157,7 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         head = ", ".join(
-            f"{exp}:{format_rational(v)}" for exp, v in list(self.terms())[:6]
+            f"{exp}:{format_rational(v)}" for exp, v in islice(self.terms(), 6)
         )
         return f"TruncatedSeries(caps={self.caps}, [{head}...])"
 

@@ -144,15 +144,58 @@ def test_iteration_budget_refuses_before_the_warmup(monkeypatch):
     assert 10**5 * sum(d + 1 for d in c.degrees()) <= errors.WORK_BUDGET * asymptotics._STEPS_PER_UNIT
 
 
+# recurrences that are not builtins: orders 1 and 2 run the fused step with
+# zero columns in front, order 4 the general loop
+OTHERS = {
+    "catalan": CATALAN,
+    # (n + 4) M(n + 2) = (2n + 5) M(n + 1) + 3(n + 1) M(n)
+    "motzkin": PRecurrence([[-3, -3], [-3, -2], [2, 1]], 0),
+    "order4": PRecurrence([[-1, -1], [-2], [-1, -1], [-3], [1, 1]], 0),
+}
+
+
 @pytest.mark.parametrize(
     "name, initial",
-    [("a", [0, 1]), ("b", [0, 1, F(5, 2)]), ("c", [0, 3, 84, 4935])],
+    [
+        ("a", [0, 1]),
+        ("b", [0, 1, F(5, 2)]),
+        ("c", [0, 3, 84, 4935]),
+        ("catalan", [1]),
+        ("motzkin", [1, 1]),
+        ("order4", [1, 1, 1, 1]),
+    ],
 )
 def test_log_sequence_matches_horner_reference(name, initial):
-    data = log_sequence(builtin(name), initial, 3000)
-    want = log_sequence_reference(builtin(name), initial, 3000)
-    assert data.start == want.start
-    assert data.logs == want.logs  # bit for bit
+    rec = OTHERS[name] if name in OTHERS else builtin(name)
+    for n_max in (3000, 1000):  # 1000 ends inside a block of 256 values
+        data = log_sequence(rec, initial, n_max)
+        want = log_sequence_reference(rec, initial, n_max)
+        assert data.start == want.start
+        assert data.logs == want.logs  # bit for bit
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except ComputationRefused as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+    raise AssertionError("not refused")
+
+
+# lead r - t is zero at index r; each lower coefficient t - s changes sign at
+# s, and the sequence stops being positive just past it; both fall in the
+# second block of 256 values
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "r, s, refusal",
+    [(400, 380, "sequence stopped being positive"), (380, 400, "leading polynomial vanishes")],
+)
+def test_log_sequence_refuses_as_the_reference_within_one_block(order, r, s, refusal):
+    rec = PRecurrence([[-s, 1]] * order + [[r, -1]], 0)
+    args = (rec, [1] * order, 1000)
+    got = _outcome(log_sequence, *args)
+    assert got == _outcome(log_sequence_reference, *args)
+    assert refusal in got[1]
 
 
 def test_log_sequence_reports_leading_zero_past_the_first_block():

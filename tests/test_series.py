@@ -148,6 +148,21 @@ def test_from_terms_and_coeff_round_trip_through_factorial_weights():
     assert s._coeffs[s._index((2, 3))] == F(5, 7) * 2 * 6  # coefficient times 2! 3!
 
 
+def test_repr_reads_at_most_six_cells(monkeypatch):
+    A = hgraph_egf(BIPARTITE, (8, 8))
+    head = ", ".join(f"{exp}:{format_rational(v)}" for exp, v in list(A.terms())[:6])
+    terms = TruncatedSeries.terms
+
+    def six_then_fail(self):
+        for k, term in enumerate(terms(self)):
+            if k == 6:
+                raise AssertionError("repr read a seventh cell")
+            yield term
+
+    monkeypatch.setattr(TruncatedSeries, "terms", six_then_fail)
+    assert repr(A) == f"TruncatedSeries(caps=(8, 8), [{head}...])"
+
+
 def test_bipartite_egf_printed_coefficients():
     A = hgraph_egf(BIPARTITE, (8, 8))
     expected = {
