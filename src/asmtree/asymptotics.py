@@ -19,7 +19,9 @@ are fitted by exact quadratic interpolation in 1/n at staggered points.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 
 from .errors import (ComputationRefused, InputError, LeadingCoefficientZero, Meter,
@@ -86,6 +88,12 @@ def log_sequence(rec: PRecurrence, initial, n_max: int) -> LogSequence:
     sequences, and so are warmup terms, coefficient values or float steps
     beyond float range. An iteration over the work budget (50 steps a unit)
     is refused first.
+
+    Every given initial term is kept in the exact warmup. The checks and
+    the charge run on every call, but the last iteration is kept as 8-byte
+    doubles, keyed by the integer relation, the warmup terms and n_max: a
+    repeat (estimate_lambda, then log_sequence on the same inputs) copies it
+    instead of iterating again, into a list of its own.
     """
     L = rec.order
     if not is_int(n_max) or n_max < rec.offset + L + 2:
@@ -99,7 +107,7 @@ def log_sequence(rec: PRecurrence, initial, n_max: int) -> LogSequence:
             raise ComputationRefused(
                 f"the recurrence coefficients may leave float range before n_max {n_max}"
             )
-    warm = extend(rec, initial, min(n_max, rec.offset + L + 8))
+    warm = extend(rec, initial, min(n_max, max(rec.offset + L + 8, len(initial) - 1)))
     start = next((i for i, v in enumerate(warm) if v != 0), None)
     if start is None:
         raise ComputationRefused("sequence is identically zero on the warmup window")
@@ -111,7 +119,16 @@ def log_sequence(rec: PRecurrence, initial, n_max: int) -> LogSequence:
         raise ComputationRefused("a warmup term is beyond float range") from None
     if 0.0 in floats[start:]:
         raise ComputationRefused("a warmup term is below float range")
+    logs = _iterate(tuple(map(tuple, ipolys)), tuple(warm), start, n_max)
+    return LogSequence(start, logs.tolist())
 
+
+@lru_cache(maxsize=1)
+def _iterate(ipolys: tuple, warm: tuple, start: int, n_max: int) -> array:
+    """The float iteration of log_sequence from checked warmup terms whose
+    first nonzero one is warm[start]: the logs from start on, as doubles."""
+    L = len(ipolys) - 1
+    floats = [float(v) for v in warm]
     logs = [math.log(v) for v in floats[start:]]
     window = floats[-L:]
     # orders up to 3 share one fused step, with zero columns and window cells
@@ -162,7 +179,7 @@ def log_sequence(rec: PRecurrence, initial, n_max: int) -> LogSequence:
         if not logs[-1] < math.inf:  # once a step overflows, inf or NaN stays
             bad = next(i for i, x in enumerate(logs) if not x < math.inf)
             raise ComputationRefused(f"a float step left float range at index {start + bad}")
-    return LogSequence(start, logs)
+    return array("d", logs)
 
 
 def _checkpoints(lo: int, hi: int) -> tuple[int, int, int]:
@@ -187,6 +204,10 @@ def estimate_lambda(rec: PRecurrence, initial, n_max: int) -> float:
 
 def _lambda_from(data: LogSequence) -> float:
     lo = data.start + 1
+    if data.n_max < lo:
+        raise InputError(
+            f"the first nonzero term is at index {data.start}, so n_max must exceed it, "
+            f"got {data.n_max}")
 
     def ratio(n: int) -> float:
         return math.exp(data.log_at(n) - data.log_at(n - 1))

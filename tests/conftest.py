@@ -258,7 +258,7 @@ def log_sequence_reference(rec, initial, n_max: int) -> LogSequence:
     rule on the integer polynomials at its own index."""
     L = rec.order
     ipolys = rec.integer_polys()
-    warm = extend(rec, initial, min(n_max, rec.offset + L + 8))
+    warm = extend(rec, initial, min(n_max, max(rec.offset + L + 8, len(initial) - 1)))
     start = next(i for i, v in enumerate(warm) if v != 0)
     logs = [math.log(float(v)) for v in warm[start:]]
     window = [float(v) for v in warm[-L:]]

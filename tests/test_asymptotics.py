@@ -240,3 +240,101 @@ def test_log_sequence_refuses_a_float_step_that_overflows():
         log_sequence(rec, [0, 1], 1000)
     with pytest.raises(ComputationRefused, match="float range"):
         estimate_lambda(rec, [0, 1], 1000)
+
+
+def test_log_sequence_keeps_every_given_initial_term():
+    from asmtree import extend
+
+    rec, initial = builtin("a"), list(range(14))  # not a solution of a's relation
+    data = log_sequence(rec, initial, 40)
+    exact = extend(rec, initial, 40)
+    assert data.logs == log_sequence_reference(rec, initial, 40).logs
+    for n in range(1, 14):
+        assert data.log_at(n) == math.log(exact[n])
+    for n in range(14, 41):
+        assert math.isclose(data.log_at(n), math.log(exact[n]), rel_tol=1e-12)
+
+
+def test_lambda_needs_a_term_past_the_first_nonzero_one():
+    with pytest.raises(InputError, match="first nonzero term is at index 8, so n_max must exceed it"):
+        estimate_lambda(builtin("a"), [0] * 8 + [1], 8)
+    # one ratio past it is enough for the raw estimate
+    assert math.isclose(estimate_lambda(builtin("a"), [0] * 8 + [1], 9), 575 / 54, rel_tol=1e-12)
+
+
+# the last float iteration is kept: a repeat on the same relation, warmup
+# terms and n_max drains the coefficient blocks once
+
+
+@pytest.fixture
+def iterations(monkeypatch):
+    """The calls of _poly_blocks, one per float iteration, from a cleared memo."""
+    from asmtree import asymptotics
+
+    calls = []
+    real = asymptotics._poly_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    asymptotics._iterate.cache_clear()
+    monkeypatch.setattr(asymptotics, "_poly_blocks", counted)
+    return calls
+
+
+C_INIT = [0, 3, 84, 4935]
+
+
+def test_estimate_lambda_then_log_sequence_iterate_once(iterations):
+    c = builtin("c")
+    lam = estimate_lambda(c, C_INIT, 2000)
+    data = log_sequence(c, C_INIT, 2000)
+    assert len(iterations) == 1
+    assert data.logs == log_sequence_reference(c, C_INIT, 2000).logs
+    assert estimate_lambda(c, C_INIT, 2000) == lam and len(iterations) == 1
+
+
+def test_a_repeat_returns_a_new_list(iterations):
+    a = builtin("a")
+    first = log_sequence(a, [0, 1], 3000)
+    first.logs[5] = 0.0
+    first.logs.append(1.0)
+    second = log_sequence(a, [0, 1], 3000)
+    assert len(iterations) == 1 and second.logs is not first.logs
+    assert second.logs == log_sequence_reference(a, [0, 1], 3000).logs  # bit for bit
+
+
+def test_the_memo_misses_on_any_other_input(iterations):
+    a = builtin("a")
+    other = PRecurrence([[3, 0, -28], [0, 0, 2]], 1)  # one coefficient of a changed
+    calls = [(a, [0, 1], 3000), (a, [0, 1], 2999), (a, [0, 2], 2999), (other, [0, 2], 2999)]
+    for k, args in enumerate(calls, 1):
+        assert log_sequence(*args).logs == log_sequence_reference(*args).logs
+        assert len(iterations) == k
+
+
+def test_the_same_relation_scaled_hits(iterations):
+    a = builtin("a")
+    doubled = PRecurrence([[2 * v for v in p] for p in a.polys], a.offset)
+    log_sequence(a, [0, 1], 3000)
+    data = log_sequence(doubled, [0, 1], 3000)
+    assert len(iterations) == 1
+    assert data.logs == log_sequence_reference(a, [0, 1], 3000).logs
+
+
+def test_a_refusal_is_refused_again(iterations):
+    flips = PRecurrence([[-380, 1], [400, -1]], 0)  # turns negative at index 381
+    for k in (1, 2):
+        with pytest.raises(ComputationRefused, match="stopped being positive at index 381"):
+            log_sequence(flips, [1], 1000)
+        assert len(iterations) == k
+    # after an admitted call, an over-budget n_max is refused before iterating
+    c = builtin("c")
+    log_sequence(c, C_INIT, 2000)
+    for fn in (log_sequence, estimate_lambda):
+        with pytest.raises(ComputationRefused, match="units of work, the cap"):
+            fn(c, C_INIT, 2_000_000)
+    assert len(iterations) == 3
+    assert log_sequence(c, C_INIT, 2000).logs == log_sequence_reference(c, C_INIT, 2000).logs
+    assert len(iterations) == 3

@@ -492,6 +492,14 @@ def test_asymptotics_iterates_once(capsys, monkeypatch):
     )
 
 
+def test_asymptotics_first_nonzero_term_at_n_max_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "asymptotics", "--rec", "builtin:a", "--init", "0,0,0,0,0,0,0,0,1", "--n-max", "8"
+    )
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "first nonzero term is at index 8" in err
+
+
 def test_over_budget_runs_exit_1_at_once(capsys, tmp_path):
     seq = _write_seq(tmp_path, [str(n * n + 1) for n in range(2000)])
     for argv in [
